@@ -18,7 +18,6 @@ from gkn_legendre.oracle import (
     apply_ell_n_lagrangian,
     bracket_via_oracle,
     classical_to_lograt,
-    differentiate,
     endpoint_limit,
     sesquilinear_at,
 )
@@ -29,7 +28,7 @@ def main():
     print("Q_3 as an exact symbolic object")
     print("--------------------------------")
     print(f"  Q3(x) = {q3}")
-    print(f"  Q3'(x) = {differentiate(q3)}")
+    print(f"  Q3'(x) = {q3.derivative()}")
 
     print()
     print("Eigen equation, certified symbolically")

@@ -15,21 +15,12 @@ The eigen-gap is written lam_j**n - lam_k**n against the denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ClassicalFunction, inner_pq, inner_qq
 from .exactnum import eigenvalue
 
-__all__ = ["BracketValue", "bracket", "bracket_decomposed"]
-
-
-@dataclass(frozen=True)
-class BracketValue:
-    value: Fraction
-    left: ClassicalFunction
-    right: ClassicalFunction
-    power: int
+__all__ = ["bracket", "bracket_decomposed"]
 
 
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:

@@ -16,6 +16,7 @@ from .brackets import bracket, bracket_decomposed
 from .classical import ClassicalFunction, legendre_q
 from .exactnum import laguerre_ld_coefficient, legendre_stirling, rational_str
 from .matrices import (
+    BracketMatrix,
     IndexSelection,
     b_block,
     build_matrix,
@@ -88,60 +89,53 @@ def cmd_matrix(args) -> int:
     sel = _selection_from_args(args)
     if args.block == "M":
         m = build_matrix(sel)
-        if args.format == "json":
-            print(json.dumps(m.to_json()))
-        elif args.format == "csv":
-            sys.stdout.write(m.to_csv())
+        doc = m.to_json()
+    else:
+        # a block is rendered as a BracketMatrix labelled by its rows
+        r = len(sel.p_indices)
+        if args.block == "B":
+            rows, row_labels = b_block(sel), sel.labels[:r]
         else:
-            print(m.pretty())
-        return EXIT_OK
-    rows = b_block(sel) if args.block == "B" else c_block(sel)
-    cells = [[rational_str(e) for e in row] for row in rows]
-    if args.format == "json":
-        row_labels = [f"P{i}" for i in sel.p_indices] if args.block == "B" else [
-            f"Q{i}" for i in sel.q_indices
-        ]
-        print(json.dumps({
+            rows, row_labels = c_block(sel), sel.labels[r:]
+        m = BracketMatrix(tuple(map(tuple, rows)), row_labels, sel.power)
+        as_json = m.to_json()
+        doc = {
             "power": sel.power,
             "block": args.block,
-            "row_labels": row_labels,
-            "col_labels": [f"Q{i}" for i in sel.q_indices],
-            "entries": cells,
-        }))
+            "row_labels": as_json["labels"],
+            "col_labels": [str(f) for f in sel.labels[r:]],
+            "entries": as_json["entries"],
+        }
+    if args.format == "json":
+        print(json.dumps(doc))
     elif args.format == "csv":
-        for row in cells:
-            print(",".join(row))
+        sys.stdout.write(m.to_csv())
     else:
-        widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
-        for row in cells:
-            print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        print(m.pretty())
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "canonical":
-        kwargs["max_n"] = args.max_n
-    elif args.suite == "parity":
-        kwargs["n"] = args.n
-        kwargs["pool"] = args.pool
-    elif args.suite == "n2-exhaustive":
-        kwargs["max_p_index"] = args.pool if args.pool is not None else 50
-    elif args.suite == "oracle":
-        kwargs["max_index"] = args.max_index
-        kwargs["max_n"] = args.max_n if args.max_n is not None else 4
-    if args.suite == "canonical" and kwargs["max_n"] is None:
-        kwargs["max_n"] = 32
-    if args.suite == "parity":
-        kwargs["n"] = kwargs["n"] if kwargs["n"] is not None else 3
-        kwargs["pool"] = kwargs["pool"] if kwargs["pool"] is not None else 7
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+# verify flag -> keyword of the suite it applies to; unset flags are not
+# passed, so each suite's own signature holds its defaults
+_SUITE_FLAGS = {
+    "canonical": {"max_n": "max_n"},
+    "parity": {"n": "n", "pool": "pool"},
+    "n2-exhaustive": {"pool": "max_p_index"},
+    "oracle": {"max_index": "max_index", "max_n": "max_n"},
+}
 
+
+def cmd_verify(args) -> int:
+    flags = _SUITE_FLAGS.get(args.suite, {}).items()
+    kwargs = {kw: getattr(args, flag) for flag, kw in flags if getattr(args, flag) is not None}
     results = run_suite(args.suite, **kwargs)
     failures = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status}  {r.name}  ({r.elapsed:.3f}s)  {r.detail}")
+    if not results:
+        print(f"suite {args.suite} ran no checks", file=sys.stderr)
+        return EXIT_ASSERTION
     if failures:
         dump = [
             {"name": r.name, "ok": r.ok, "detail": r.detail, "elapsed": r.elapsed}
@@ -163,7 +157,6 @@ def cmd_sweep(args) -> int:
         pool_bound=args.pool,
         parity_filter=not args.no_parity_filter,
         workers=args.workers,
-        output_format=args.format,
     )
     if args.ledger is not None:
         config.ledger_path = args.ledger
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--pool", type=int, default=None)
-    p.add_argument("--max-index", type=int, default=8)
+    p.add_argument("--max-index", type=int, default=None)
     p.add_argument("--failure-dump", default="gkn_verify_failures.json")
     p.set_defaults(func=cmd_verify)
 

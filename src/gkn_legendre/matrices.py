@@ -127,73 +127,56 @@ def c_block(sel: IndexSelection) -> list[list[Fraction]]:
     return [[bracket(a, b, n) for b in qs] for a in qs]
 
 
-def _integer_rows(matrix) -> list[list[int]]:
-    """Clear denominators row by row; preserves rank."""
-    out = []
+def _bareiss(matrix) -> tuple[int, Fraction]:
+    """(rank, det) by one pass of fraction-free elimination over the integers.
+
+    Each row is first scaled to integers by the lcm of its denominators; the
+    product of those scales divides the determinant back out.  The
+    determinant is 0 unless the matrix is square of full rank, where it is
+    the last pivot up to the sign of the row swaps.  The empty matrix has
+    rank 0 and determinant 1.
+    """
+    m, scale = [], 1
     for row in matrix:
         row = [Fraction(x) for x in row]
-        mult = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+        mult = math.lcm(*(x.denominator for x in row))
+        scale *= mult
+        m.append([x.numerator * (mult // x.denominator) for x in row])
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for row in m[rank + 1 :]:
+            factor = row[col]
+            row[col + 1 :] = [
+                (pivot * a - factor * b) // prev for a, b in zip(row[col + 1 :], top[col + 1 :])
+            ]
+            row[col] = 0  # never read again; frees the big entry
+        prev = pivot
+        rank += 1
+    det = Fraction(sign * prev, scale) if rank == nrows == ncols else Fraction(0)
+    return rank, det
 
 
 def rank_exact(matrix) -> int:
-    """Exact rank via Bareiss fraction-free elimination over the integers."""
-    m = _integer_rows(matrix)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            for c in range(col + 1, ncols):
-                m[r][c] = (pivot * m[r][c] - factor * m[row][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-        row += 1
-    return row
+    """Exact rank of a rational matrix."""
+    return _bareiss(matrix)[0]
 
 
 def det_exact(matrix) -> Fraction:
-    """Exact determinant of a square rational matrix (fraction-free)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant of a square rational matrix."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        m.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            for c in range(col + 1, n):
-                m[r][c] = (pivot * m[r][c] - factor * m[col][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return _bareiss(matrix)[1]
 
 
 def is_li_mod_dmin(sel: IndexSelection) -> bool:

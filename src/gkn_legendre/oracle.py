@@ -30,7 +30,6 @@ __all__ = [
     "LogRat",
     "DivergentLimit",
     "lagrangian_coefficients",
-    "differentiate",
     "apply_ell",
     "apply_ell_n",
     "apply_ell_n_lagrangian",
@@ -78,10 +77,6 @@ class EndRat:
     @staticmethod
     def from_poly(p: Poly) -> "EndRat":
         return EndRat.make(p)
-
-    @staticmethod
-    def from_scalar(c) -> "EndRat":
-        return EndRat.make(Poly([Fraction(c)]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -288,8 +283,12 @@ def classical_to_lograt(f: ClassicalFunction) -> LogRat:
     return LogRat(EndRat.from_poly(-q.poly_part), EndRat.from_poly(q.log_coeff))
 
 
-def differentiate(f: LogRat) -> LogRat:
-    return f.derivative()
+def _derivatives(f: LogRat, count: int) -> list[LogRat]:
+    """[f, f', ..., f^(count)]: exactly ``count`` calls to ``derivative``."""
+    chain = [f]
+    for _ in range(count):
+        chain.append(chain[-1].derivative())
+    return chain
 
 
 def apply_ell(f: LogRat) -> LogRat:
@@ -320,13 +319,9 @@ def lagrangian_coefficients(n: int) -> list[tuple[int, Poly]]:
 def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     """The 2n-th order expansion sum_k (-1)**k (a_k f^(k))^(k)."""
     total = LogRat(EndRat.ZERO)
-    derivs = [f]
-    for _ in range(n):
-        derivs.append(derivs[-1].derivative())
+    derivs = _derivatives(f, n)
     for k, a_k in lagrangian_coefficients(n):
-        term = LogRat.from_poly(a_k) * derivs[k]
-        for _ in range(k):
-            term = term.derivative()
+        term = _derivatives(LogRat.from_poly(a_k) * derivs[k], k)[-1]
         total = total + (term if k % 2 == 0 else -term)
     return total
 
@@ -341,20 +336,14 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     """
     if n < 1:
         raise ValueError("sesquilinear_at: n must be >= 1")
-    fder = [f]
-    gder = [g]
-    for _ in range(n):
-        fder.append(fder[-1].derivative())
-        gder.append(gder[-1].derivative())
+    fder = _derivatives(f, n)
+    gder = _derivatives(g, n)
     total = LogRat(EndRat.ZERO)
     for k, a_k in lagrangian_coefficients(n):
         ak = LogRat.from_poly(a_k)
         # chains (a_k g^(k))^(i) and (a_k f^(k))^(i) for i = 0..k-1
-        gchain = [ak * gder[k]]
-        fchain = [ak * fder[k]]
-        for _ in range(k - 1):
-            gchain.append(gchain[-1].derivative())
-            fchain.append(fchain[-1].derivative())
+        gchain = _derivatives(ak * gder[k], k - 1)
+        fchain = _derivatives(ak * fder[k], k - 1)
         for j in range(1, k + 1):
             term = gchain[k - j] * fder[j - 1] - fchain[k - j] * gder[j - 1]
             total = total + (term if (k + j) % 2 == 0 else -term)
@@ -415,13 +404,9 @@ def fn_condition_check(f: LogRat, n: int) -> list[FnConditionReport]:
     One report per j = 1..n; divergence is reported, never raised.
     """
     reports = []
-    derivs = [f]
-    for _ in range(n):
-        derivs.append(derivs[-1].derivative())
+    derivs = _derivatives(f, n)
     for j, a_j in lagrangian_coefficients(n):
-        expr = LogRat.from_poly(a_j) * derivs[j]
-        for _ in range(j - 1):
-            expr = expr.derivative()
+        expr = _derivatives(LogRat.from_poly(a_j) * derivs[j], j - 1)[-1]
         left = right = None
         try:
             left = endpoint_limit(expr, "minus_one")

@@ -3,15 +3,17 @@
 Each record captures one candidate selection: its exact rank, whether the
 matrix had full rank, and the exact determinant of the P-vs-Q block.  Records
 are keyed by the canonical selection string, so re-running a finished sweep
-appends nothing and interrupted sweeps resume cleanly.  A rank-deficient
-parity-balanced selection would be a counterexample to the open conjecture;
-it is persisted and surfaced, never raised.
+appends nothing and interrupted sweeps resume cleanly.  A final line torn by
+an interrupted append is reported and cut off before the next append.  A
+rank-deficient parity-balanced selection would be a counterexample to the open
+conjecture; it is persisted and surfaced, never raised.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -60,7 +62,6 @@ class RunConfig:
     pool_bound: int
     parity_filter: bool = True
     workers: int = 1
-    output_format: str = "json"  # json | csv | pretty
     ledger_path: str = field(default_factory=lambda: os.environ.get(LEDGER_ENV_VAR, "gkn_sweep.jsonl"))
 
     def __post_init__(self):
@@ -97,28 +98,48 @@ def evaluate_selection(sel: IndexSelection) -> tuple[str, int, bool, str]:
     return sel.key(), rank, rank == m.size, rational_str(det_b)
 
 
-def _load_ledger_keys(path: str) -> set[str]:
-    keys = set()
+def _scan_ledger(path: str):
+    """Yield (end, record) for each record of a JSON-lines ledger, in file
+    order, where end is the byte offset just past the record's line.
+
+    A final line without a newline is the last append, possibly cut short: if
+    it parses it is a complete record, otherwise it is reported on stderr and
+    skipped.  A bad line anywhere else raises ValueError.
+    """
     if not os.path.exists(path):
-        return keys
-    with open(path, "r", encoding="utf-8") as fh:
+        return
+    end = 0
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                keys.add(json.loads(line)["key"])
-    return keys
+            end += len(line)
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                if line.endswith(b"\n"):
+                    raise
+                print(f"warning: {path}: dropped a torn final line ({len(line)} bytes)",
+                      file=sys.stderr)
+                return
+            yield end, record
 
 
 def read_ledger(path: str) -> list[dict]:
-    records = []
-    if not os.path.exists(path):
-        return records
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    """The records of a JSON-lines ledger, in file order.  A torn final line
+    is reported on stderr and skipped; any other bad line raises ValueError."""
+    return [record for _, record in _scan_ledger(path)]
+
+
+def _load_ledger_keys(path: str) -> set[str]:
+    """Keys already in the ledger, after cutting off what follows the last
+    record: a torn final line, or blank lines."""
+    keys, end = set(), 0
+    for end, record in _scan_ledger(path):
+        keys.add(record["key"])
+    if os.path.exists(path) and os.path.getsize(path) > end:
+        os.truncate(path, end)
+    return keys
 
 
 def run_sweep(config: RunConfig) -> list[SweepRecord]:
@@ -149,12 +170,16 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
         SweepRecord(sel, rank, full, det_b, stamp, __version__)
         for sel, (_, rank, full, det_b) in zip(todo, results)
     ]
-    records.sort(key=lambda r: r.key())
 
     directory = os.path.dirname(config.ledger_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(config.ledger_path, "a", encoding="utf-8") as fh:
+    with open(config.ledger_path, "a+b") as fh:
+        end = fh.tell()
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":  # a complete last record without its newline
+                fh.write(b"\n")
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
     return records

@@ -1,7 +1,8 @@
 """Verification suites: golden tables, exhaustive parity sweeps, oracle cross-checks.
 
 Each suite returns a list of CheckResult records; the CLI and the acceptance
-tests share these.  Expected matrices are frozen here as exact integers and
+tests share these.  A check that examined no case fails: a vacuous pass
+proves nothing.  Expected matrices are frozen here as exact integers and
 rationals.
 """
 
@@ -94,6 +95,12 @@ def _check(name: str, fn) -> CheckResult:
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
 
+def _passed_if_any(checked: int, detail: str) -> tuple[bool, str]:
+    """The verdict of a check that found no counterexample among ``checked``
+    cases: with no case examined it proves nothing, so it fails."""
+    return (True, detail) if checked else (False, "no cases examined")
+
+
 def _as_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
@@ -170,7 +177,7 @@ def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
             m = build_matrix(sel)
             if rank_exact(m.entries) >= 2 * n:
                 return False, f"unbalanced selection {sel.key()} has full rank"
-        return True, f"{checked} unbalanced selections all rank deficient"
+        return _passed_if_any(checked, f"{checked} unbalanced selections all rank deficient")
 
     return [_check(f"parity/n={n}/pool={pool}", run)]
 
@@ -199,7 +206,7 @@ def suite_n2_exhaustive(max_p_index: int = 50) -> list[CheckResult]:
                 m = build_matrix(sel)
                 if rank_exact(m.entries) != 4:
                     return False, f"rank-deficient balanced selection {sel.key()}"
-        return True, f"{checked} balanced n=2 selections all full rank"
+        return _passed_if_any(checked, f"{checked} balanced n=2 selections all full rank")
 
     return [_check(f"n2-exhaustive/p<={max_p_index}", run)]
 
@@ -224,7 +231,7 @@ def suite_oracle(max_index: int = 8, max_n: int = 4) -> list[CheckResult]:
                         return False, f"[{f},{g}]_{n}: closed {closed} != oracle {symbolic}"
                     if closed != 0:
                         nonzero += 1
-        return True, f"{checked} pairs agree exactly ({nonzero} nonzero)"
+        return _passed_if_any(checked, f"{checked} pairs agree exactly ({nonzero} nonzero)")
 
     return [_check(f"oracle/idx<={max_index}/n<={max_n}", run)]
 

@@ -15,7 +15,6 @@ from gkn_legendre.oracle import (
     apply_ell_n_lagrangian,
     bracket_via_oracle,
     classical_to_lograt,
-    differentiate,
     endpoint_limit,
     fn_condition_check,
     sesquilinear_at,
@@ -61,23 +60,23 @@ class TestEndRat:
 
 class TestDifferentiate:
     def test_lambda_prime(self):
-        d = differentiate(LAMBDA)
+        d = LAMBDA.derivative()
         assert d.logpart.is_zero()
         assert d.plain == EndRat(Poly.ONE, 1, 1)
 
     def test_q1_derivative(self):
         # d/dx (x*L - 1) = L + x/(1-x^2)
-        d = differentiate(classical_to_lograt(Q(1)))
+        d = classical_to_lograt(Q(1)).derivative()
         assert d.logpart == EndRat.ONE
         assert d.plain == EndRat(Poly([0, 1]), 1, 1)
 
     def test_polynomial(self):
-        d = differentiate(LogRat.from_poly(Poly([0, 0, 1])))
+        d = LogRat.from_poly(Poly([0, 0, 1])).derivative()
         assert d == LogRat.from_poly(Poly([0, 2]))
 
     def test_log_squared_chain(self):
         f = LogRat(EndRat.ZERO, EndRat.ZERO, EndRat.ONE)  # L^2
-        d = differentiate(f)
+        d = f.derivative()
         assert d.logpart == EndRat(Poly([2]), 1, 1)
         assert d.log2part.is_zero()
 
@@ -111,7 +110,7 @@ class TestEndpointLimit:
 
     def test_q1_flux(self):
         # (1-x^2) Q1' = (1-x^2) L + x
-        f = ONE_MINUS_X2 * differentiate(classical_to_lograt(Q(1)))
+        f = ONE_MINUS_X2 * classical_to_lograt(Q(1)).derivative()
         assert endpoint_limit(f, "plus_one") == 1
         assert endpoint_limit(f, "minus_one") == -1
 
@@ -146,7 +145,7 @@ class TestEndpointLimit:
 class TestSesquilinearForm:
     def test_p0_q1_n1_is_flux_of_q1(self):
         form = sesquilinear_at(classical_to_lograt(P(0)), classical_to_lograt(Q(1)), 1)
-        expected = ONE_MINUS_X2 * differentiate(classical_to_lograt(Q(1)))
+        expected = ONE_MINUS_X2 * classical_to_lograt(Q(1)).derivative()
         assert form == expected
 
     def test_pp_pairs_vanish_at_endpoints(self):

@@ -116,6 +116,44 @@ class TestSweepLedger:
             RunConfig(power=1, pool_bound=3, workers=0)
 
 
+class TestTornLedger:
+    def sweep(self, ledger, pool):
+        return main(["sweep", "--n", "2", "--pool", str(pool), "--ledger", str(ledger)])
+
+    def test_torn_final_line_is_dropped_and_sweep_resumes(self, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        old = ledger.read_bytes()
+        with open(ledger, "ab") as fh:
+            fh.write(b'{"key": "n=2;P=0,1;Q=0')
+        assert self.sweep(ledger, 4) == 0
+        assert "torn" in capsys.readouterr().err
+        new = ledger.read_bytes()
+        assert new.startswith(old)
+        records = [json.loads(line) for line in new.decode().splitlines()]
+        assert len(records) > old.count(b"\n")
+        assert len({r["key"] for r in records}) == len(records)
+
+    def test_final_record_without_newline_is_kept(self, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        old = ledger.read_bytes()
+        ledger.write_bytes(old[:-1])
+        assert self.sweep(ledger, 4) == 0
+        new = ledger.read_bytes()
+        assert new.startswith(old) and len(new) > len(old)
+        records = [json.loads(line) for line in new.decode().splitlines()]
+        assert len({r["key"] for r in records}) == len(records)
+
+    def test_bad_line_before_the_end_is_an_error(self, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        ledger.write_bytes(lines[0][:10] + b"\n" + b"".join(lines[1:]))
+        assert self.sweep(ledger, 4) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestCliBracket:
     def test_plain_value(self, capsys):
         assert main(["bracket", "P", "0", "Q", "1", "--n", "3"]) == 0
@@ -171,6 +209,19 @@ class TestCliVerify:
 
     def test_unknown_suite_rejected_by_argparse(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "canonical", "--max-n", "0"],
+        ["--suite", "oracle", "--max-n", "0"],
+        ["--suite", "parity", "--n", "3", "--pool", "1"],
+        ["--suite", "n2-exhaustive", "--pool", "0"],
+    ], ids=lambda argv: argv[1])
+    def test_vacuous_suite_fails(self, argv, tmp_path, capsys):
+        dump = tmp_path / "failures.json"
+        assert main(["verify", *argv, "--failure-dump", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.strip()
 
 
 class TestCliSweep:
