@@ -22,6 +22,7 @@ from .matrices import (
     build_matrix,
     c_block,
     canonical_selection,
+    parity_census,
 )
 from .oracle import bracket_via_oracle
 from .sweep import LEDGER_ENV_VAR, RunConfig, run_sweep
@@ -165,7 +166,10 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"ledger I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    deficient = [r for r in records if not r.full_rank]
+    # only a balanced deficient selection contradicts the conjecture; an
+    # unbalanced one is deficient by the parity theorem
+    n = config.power
+    deficient = [r for r in records if not r.full_rank and parity_census(r.selection) == (n, n)]
     if args.format == "json":
         for rec in records:
             print(json.dumps(rec.to_json(), sort_keys=True))

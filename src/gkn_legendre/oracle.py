@@ -12,9 +12,11 @@ The L**2 slot exists because products of two log-bearing functions genuinely
 occur inside the boundary form; its contribution must die at the endpoints,
 and a surviving L**2 term is flagged as divergence rather than dropped.
 
-Endpoint limits are decided exactly: after cancelling (1 +- x) factors, a
-part either has a pole (divergent), a plain value, or - for the log-bearing
-parts - vanishes to positive order, which kills the logarithm.
+Each part is an ``EndRat``, canonical by construction: its constructor
+cancels the (1 +- x) factors its numerator shares with its denominator, so
+structural equality is exact.  Endpoint limits are decided exactly: a part
+either has a pole (divergent), a plain value, or - for the log-bearing parts -
+vanishes to positive order, which kills the logarithm.
 """
 
 from __future__ import annotations
@@ -55,16 +57,17 @@ class DivergentLimit(ValueError):
 
 @dataclass(frozen=True)
 class EndRat:
-    """num(x) / ((1-x)**pow_one_minus * (1+x)**pow_one_plus), canonical."""
+    """num(x) / ((1-x)**pow_one_minus * (1+x)**pow_one_plus), canonical by
+    construction: num shares no (1 -+ x) factor with the denominator."""
 
     num: Poly
     pow_one_minus: int = 0
     pow_one_plus: int = 0
 
-    @staticmethod
-    def make(num: Poly, a: int = 0, b: int = 0) -> "EndRat":
+    def __post_init__(self):
+        num, a, b = self.num, self.pow_one_minus, self.pow_one_plus
         if num.is_zero():
-            return EndRat(Poly.ZERO, 0, 0)
+            a = b = 0
         # cancel (1-x) factors: num = (1-x) q  <=>  num = -(x-1) q
         while a > 0 and num(1) == 0:
             num = -num.deflate(1)
@@ -72,11 +75,9 @@ class EndRat:
         while b > 0 and num(-1) == 0:
             num = num.deflate(-1)
             b -= 1
-        return EndRat(num, a, b)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "EndRat":
-        return EndRat.make(p)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "pow_one_minus", a)
+        object.__setattr__(self, "pow_one_plus", b)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -90,7 +91,7 @@ class EndRat:
         n2 = other.num * _ONE_MINUS_X ** (a - other.pow_one_minus) * _ONE_PLUS_X ** (
             b - other.pow_one_plus
         )
-        return EndRat.make(n1 + n2, a, b)
+        return EndRat(n1 + n2, a, b)
 
     def __neg__(self) -> "EndRat":
         return EndRat(-self.num, self.pow_one_minus, self.pow_one_plus)
@@ -100,24 +101,14 @@ class EndRat:
 
     def __mul__(self, other) -> "EndRat":
         if isinstance(other, EndRat):
-            return EndRat.make(
+            return EndRat(
                 self.num * other.num,
                 self.pow_one_minus + other.pow_one_minus,
                 self.pow_one_plus + other.pow_one_plus,
             )
-        return EndRat.make(self.num * other, self.pow_one_minus, self.pow_one_plus)
+        return EndRat(self.num * other, self.pow_one_minus, self.pow_one_plus)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndRat):
-            return NotImplemented
-        lhs = self.num * _ONE_MINUS_X**other.pow_one_minus * _ONE_PLUS_X**other.pow_one_plus
-        rhs = other.num * _ONE_MINUS_X**self.pow_one_minus * _ONE_PLUS_X**self.pow_one_plus
-        return lhs == rhs
-
-    def __hash__(self):
-        return hash((self.num, self.pow_one_minus, self.pow_one_plus))
 
     def derivative(self) -> "EndRat":
         a, b = self.pow_one_minus, self.pow_one_plus
@@ -126,7 +117,7 @@ class EndRat:
             + a * (self.num * _ONE_PLUS_X)
             - b * (self.num * _ONE_MINUS_X)
         )
-        return EndRat.make(num, a + 1, b + 1)
+        return EndRat(num, a + 1, b + 1)
 
     def order_at(self, at: str) -> int:
         """Order of vanishing at the endpoint; negative means a pole.
@@ -142,29 +133,15 @@ class EndRat:
         raise ValueError(f"unknown endpoint {at!r}")
 
     def value_at(self, at: str) -> Fraction:
-        """Exact finite value at the endpoint; requires order_at(at) >= 0."""
-        x = Fraction(1) if at == "plus_one" else Fraction(-1)
-        p = self.num
-        # after canonicalisation the surviving denominator factor, if any,
-        # must be cancelled by roots of the numerator
-        a, b = self.pow_one_minus, self.pow_one_plus
+        """Exact finite value at the endpoint; a pole there raises ValueError."""
         if at == "plus_one":
-            for _ in range(a):
-                p = -p.deflate(1)
-            a = 0
+            x, pole, other = 1, self.pow_one_minus, self.pow_one_plus
         else:
-            for _ in range(b):
-                p = p.deflate(-1)
-            b = 0
-        val = p(x)
-        return val / ((1 - x) ** a * (1 + x) ** b)
-
-    def to_json(self) -> dict:
-        return {
-            "num": self.num.to_json(),
-            "pow_one_minus": self.pow_one_minus,
-            "pow_one_plus": self.pow_one_plus,
-        }
+            x, pole, other = -1, self.pow_one_plus, self.pow_one_minus
+        # canonical form: a denominator factor vanishing at x is a pole
+        if pole:
+            raise ValueError(f"value_at: pole of order {pole} at {at}")
+        return self.num(x) / 2**other
 
     def __str__(self) -> str:
         s = str(self.num)
@@ -196,7 +173,7 @@ class LogRat:
 
     @staticmethod
     def from_poly(p: Poly) -> "LogRat":
-        return LogRat(EndRat.from_poly(p))
+        return LogRat(EndRat(p))
 
     @staticmethod
     def lam() -> "LogRat":
@@ -238,31 +215,12 @@ class LogRat:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogRat):
-            return NotImplemented
-        return (
-            self.plain == other.plain
-            and self.logpart == other.logpart
-            and self.log2part == other.log2part
-        )
-
-    def __hash__(self):
-        return hash((self.plain, self.logpart, self.log2part))
-
     def derivative(self) -> "LogRat":
         return LogRat(
             self.plain.derivative() + self.logpart * _LAMBDA_PRIME,
             self.logpart.derivative() + 2 * (self.log2part * _LAMBDA_PRIME),
             self.log2part.derivative(),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "plain": self.plain.to_json(),
-            "logpart": self.logpart.to_json(),
-            "log2part": self.log2part.to_json(),
-        }
 
     def __str__(self) -> str:
         parts = []
@@ -280,7 +238,7 @@ def classical_to_lograt(f: ClassicalFunction) -> LogRat:
     if f.kind == "P":
         return LogRat.from_poly(legendre_p(f.index))
     q = legendre_q(f.index)
-    return LogRat(EndRat.from_poly(-q.poly_part), EndRat.from_poly(q.log_coeff))
+    return LogRat(EndRat(-q.poly_part), EndRat(q.log_coeff))
 
 
 def _derivatives(f: LogRat, count: int) -> list[LogRat]:
@@ -293,7 +251,7 @@ def _derivatives(f: LogRat, count: int) -> list[LogRat]:
 
 def apply_ell(f: LogRat) -> LogRat:
     """One application of f -> -((1-x**2) f')'."""
-    w = LogRat(EndRat.from_poly(_ONE_MINUS_X * _ONE_PLUS_X))
+    w = LogRat.from_poly(_ONE_MINUS_X * _ONE_PLUS_X)
     return -((w * f.derivative()).derivative())
 
 
@@ -306,13 +264,14 @@ def apply_ell_n(f: LogRat, n: int) -> LogRat:
     return f
 
 
-def lagrangian_coefficients(n: int) -> list[tuple[int, Poly]]:
+def lagrangian_coefficients(n: int) -> list[tuple[int, LogRat]]:
     """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n."""
     if n < 1:
         raise ValueError("lagrangian_coefficients: n must be >= 1")
     one_minus_x2 = _ONE_MINUS_X * _ONE_PLUS_X
     return [
-        (k, legendre_stirling(n, k) * one_minus_x2**k) for k in range(1, n + 1)
+        (k, LogRat.from_poly(legendre_stirling(n, k) * one_minus_x2**k))
+        for k in range(1, n + 1)
     ]
 
 
@@ -321,7 +280,7 @@ def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     total = LogRat(EndRat.ZERO)
     derivs = _derivatives(f, n)
     for k, a_k in lagrangian_coefficients(n):
-        term = _derivatives(LogRat.from_poly(a_k) * derivs[k], k)[-1]
+        term = _derivatives(a_k * derivs[k], k)[-1]
         total = total + (term if k % 2 == 0 else -term)
     return total
 
@@ -340,10 +299,9 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     gder = _derivatives(g, n)
     total = LogRat(EndRat.ZERO)
     for k, a_k in lagrangian_coefficients(n):
-        ak = LogRat.from_poly(a_k)
         # chains (a_k g^(k))^(i) and (a_k f^(k))^(i) for i = 0..k-1
-        gchain = _derivatives(ak * gder[k], k - 1)
-        fchain = _derivatives(ak * fder[k], k - 1)
+        gchain = _derivatives(a_k * gder[k], k - 1)
+        fchain = _derivatives(a_k * fder[k], k - 1)
         for j in range(1, k + 1):
             term = gchain[k - j] * fder[j - 1] - fchain[k - j] * gder[j - 1]
             total = total + (term if (k + j) % 2 == 0 else -term)
@@ -406,7 +364,7 @@ def fn_condition_check(f: LogRat, n: int) -> list[FnConditionReport]:
     reports = []
     derivs = _derivatives(f, n)
     for j, a_j in lagrangian_coefficients(n):
-        expr = _derivatives(LogRat.from_poly(a_j) * derivs[j], j - 1)[-1]
+        expr = _derivatives(a_j * derivs[j], j - 1)[-1]
         left = right = None
         try:
             left = endpoint_limit(expr, "minus_one")

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import combinations
@@ -143,7 +144,7 @@ def _load_ledger_keys(path: str) -> set[str]:
 
 
 def run_sweep(config: RunConfig) -> list[SweepRecord]:
-    """Evaluate all missing selections and append them to the ledger.
+    """Evaluate all missing selections, appending each record as it arrives.
 
     Returns the newly appended records, in deterministic (key-sorted) order
     regardless of worker count.
@@ -158,28 +159,27 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     if not todo:
         return []
 
-    if config.workers == 1:
-        results = [evaluate_selection(sel) for sel in todo]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, len(todo) // (config.workers * 8))
-            results = list(pool.map(evaluate_selection, todo, chunksize=chunk))
-
-    stamp = datetime.now(timezone.utc).isoformat()
-    records = [
-        SweepRecord(sel, rank, full, det_b, stamp, __version__)
-        for sel, (_, rank, full, det_b) in zip(todo, results)
-    ]
-
     directory = os.path.dirname(config.ledger_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(config.ledger_path, "a+b") as fh:
+    stamp = datetime.now(timezone.utc).isoformat()
+    records = []
+    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext()
+    with open(config.ledger_path, "a+b") as fh, pool:
         end = fh.tell()
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":  # a complete last record without its newline
                 fh.write(b"\n")
-        for rec in records:
+        if config.workers == 1:
+            results = map(evaluate_selection, todo)
+        else:
+            chunk = max(1, len(todo) // (config.workers * 8))
+            results = pool.map(evaluate_selection, todo, chunksize=chunk)
+        # each record is written as its result arrives, so an interrupted
+        # sweep keeps every record it finished
+        for sel, (_, rank, full, det_b) in zip(todo, results):
+            rec = SweepRecord(sel, rank, full, det_b, stamp, __version__)
             fh.write(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
+            records.append(rec)
     return records

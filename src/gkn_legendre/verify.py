@@ -20,6 +20,7 @@ from .matrices import (
     b_block,
     build_matrix,
     canonical_selection,
+    is_li_mod_dmin,
     parity_census,
     rank_exact,
 )
@@ -170,27 +171,14 @@ def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
     def run():
         checked = 0
         for sel in enumerate_selections(n, pool, parity_filter=False):
-            evens, odds = parity_census(sel)
-            if evens == odds:
+            if parity_census(sel) == (n, n):
                 continue
             checked += 1
-            m = build_matrix(sel)
-            if rank_exact(m.entries) >= 2 * n:
+            if is_li_mod_dmin(sel):
                 return False, f"unbalanced selection {sel.key()} has full rank"
         return _passed_if_any(checked, f"{checked} unbalanced selections all rank deficient")
 
     return [_check(f"parity/n={n}/pool={pool}", run)]
-
-
-def _complementary_completions(p_pair: tuple[int, int]) -> list[tuple[int, ...]]:
-    """Q-index pairs from {0..3} whose parity complements the P pair."""
-    odd_needed = sum(1 for i in p_pair if i % 2 == 0)
-    evens, odds = (0, 2), (1, 3)
-    if odd_needed == 2:
-        return [odds]
-    if odd_needed == 0:
-        return [evens]
-    return [tuple(sorted((e, o))) for e in evens for o in odds]
 
 
 def suite_n2_exhaustive(max_p_index: int = 50) -> list[CheckResult]:
@@ -200,11 +188,12 @@ def suite_n2_exhaustive(max_p_index: int = 50) -> list[CheckResult]:
     def run():
         checked = 0
         for p in combinations(range(max_p_index + 1), 2):
-            for q in _complementary_completions(p):
+            for q in combinations(range(4), 2):
                 sel = IndexSelection(p, q, 2)
+                if parity_census(sel) != (2, 2):
+                    continue
                 checked += 1
-                m = build_matrix(sel)
-                if rank_exact(m.entries) != 4:
+                if not is_li_mod_dmin(sel):
                     return False, f"rank-deficient balanced selection {sel.key()}"
         return _passed_if_any(checked, f"{checked} balanced n=2 selections all full rank")
 

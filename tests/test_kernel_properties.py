@@ -1,16 +1,20 @@
-"""Property tests of the exact rank/determinant kernel.
+"""Property tests of the exact kernels.
 
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random rational
 matrices, and the structural identities of the bracket matrices are checked
-on random r = s = n selections.
+on random r = s = n selections.  The oracle's ``EndRat`` is checked to be
+canonical by construction, with an equality that agrees with
+cross-multiplication.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkn_legendre.classical import Poly
 from gkn_legendre.matrices import (
     IndexSelection,
     b_block,
@@ -18,6 +22,7 @@ from gkn_legendre.matrices import (
     det_exact,
     rank_exact,
 )
+from gkn_legendre.oracle import EndRat
 
 
 def reference_rank_det(matrix):
@@ -108,3 +113,51 @@ def test_det_m_is_square_of_det_b(sel):
     det_b = det_exact(b_block(sel))
     assert det_exact(m) == det_b**2
     assert (rank_exact(m) == 2 * sel.power) == (det_b != 0)
+
+
+ONE_MINUS_X, ONE_PLUS_X = Poly([1, -1]), Poly([1, 1])
+int_polys = st.lists(st.integers(-3, 3), max_size=4).map(Poly)
+exponents = st.integers(0, 3)
+
+
+def cross_multiplied_equal(x, y):
+    """num_x / den_x == num_y / den_y for raw (num, a, b) triples."""
+    (p, a, b), (q, c, d) = x, y
+    return p * ONE_MINUS_X**c * ONE_PLUS_X**d == q * ONE_MINUS_X**a * ONE_PLUS_X**b
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys.filter(bool), exponents, exponents, exponents, exponents)
+def test_endrat_cancels_shared_factors(p, a, b, i, j):
+    base = EndRat(p, a, b)
+    scaled = EndRat(p * ONE_MINUS_X**i * ONE_PLUS_X**j, a + i, b + j)
+    assert (scaled.num, scaled.pow_one_minus, scaled.pow_one_plus) == (
+        base.num, base.pow_one_minus, base.pow_one_plus
+    )
+    assert base.pow_one_minus == 0 or base.num(1) != 0
+    assert base.pow_one_plus == 0 or base.num(-1) != 0
+    for at, pole in (("plus_one", base.pow_one_minus), ("minus_one", base.pow_one_plus)):
+        if pole:
+            with pytest.raises(ValueError):
+                base.value_at(at)
+
+
+@st.composite
+def endrat_pairs(draw):
+    """Two raw (num, a, b) triples; half the time the second is the first
+    with a common (1 -+ x) factor put into numerator and denominator."""
+    p, a, b = draw(int_polys), draw(exponents), draw(exponents)
+    if draw(st.booleans()):
+        i, j = draw(exponents), draw(exponents)
+        return (p, a, b), (p * ONE_MINUS_X**i * ONE_PLUS_X**j, a + i, b + j)
+    return (p, a, b), (draw(int_polys), draw(exponents), draw(exponents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(endrat_pairs())
+def test_endrat_equality_is_cross_multiplication(pair):
+    x, y = pair
+    e, f = EndRat(*x), EndRat(*y)
+    assert (e == f) == cross_multiplied_equal(x, y)
+    if e == f:
+        assert hash(e) == hash(f)

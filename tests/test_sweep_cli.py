@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gkn_legendre.sweep as sweep_module
 from gkn_legendre.cli import main
 from gkn_legendre.matrices import IndexSelection, parity_census
 from gkn_legendre.sweep import (
@@ -92,6 +93,29 @@ class TestSweepLedger:
             for r in recs
         ]
         assert strip(read_ledger(cfg1.ledger_path)) == strip(read_ledger(cfg2.ledger_path))
+
+    def test_interrupted_sweep_keeps_finished_records(self, tmp_path, monkeypatch):
+        calls = []
+
+        def interrupted_on_tenth(sel):
+            calls.append(sel)
+            if len(calls) == 10:
+                raise KeyboardInterrupt
+            return evaluate_selection(sel)
+
+        monkeypatch.setattr(sweep_module, "evaluate_selection", interrupted_on_tenth)
+        cfg = RunConfig(power=2, pool_bound=4, ledger_path=str(tmp_path / "cut.jsonl"))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg)
+        monkeypatch.undo()
+        _, full = self.run(tmp_path, name="full.jsonl")
+        kept = [r["key"] for r in read_ledger(cfg.ledger_path)]
+        assert kept == [r.key() for r in full][:9]
+        added = run_sweep(cfg)
+        assert len(added) == len(full) - 9
+        assert sorted(r["key"] for r in read_ledger(cfg.ledger_path)) == sorted(
+            r.key() for r in full
+        )
 
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
@@ -247,9 +271,32 @@ class TestCliSweep:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "CONJECTURE-COUNTEREXAMPLE" in captured.out
+        # every deficient record is unbalanced, as the parity theorem says
+        assert "CONJECTURE-COUNTEREXAMPLE" not in captured.out + captured.err
         recs = read_ledger(ledger)
         assert any(not r["full_rank"] for r in recs)
+
+    @pytest.mark.parametrize("fmt, stream", [("pretty", "out"), ("json", "err")])
+    def test_balanced_deficient_selection_is_labelled(self, fmt, stream, tmp_path, capsys, monkeypatch):
+        target = "n=2;P=0,1;Q=0,1"  # parity census (2, 2)
+
+        def deficient_target(sel):
+            key, rank, full, det_b = evaluate_selection(sel)
+            return (key, 3, False, "0") if key == target else (key, rank, full, det_b)
+
+        monkeypatch.setattr(sweep_module, "evaluate_selection", deficient_target)
+        code = main(
+            ["sweep", "--n", "2", "--pool", "3", "--no-parity-filter",
+             "--ledger", str(tmp_path / "s.jsonl"), "--format", fmt]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        labelled = [
+            line for line in (captured.out + captured.err).splitlines()
+            if "CONJECTURE-COUNTEREXAMPLE" in line
+        ]
+        assert len(labelled) == 1 and target in labelled[0]
+        assert labelled[0] in getattr(captured, stream)
 
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "env.jsonl"
