@@ -116,8 +116,9 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-# verify flag -> keyword of the suite it applies to; unset flags are not
-# passed, so each suite's own signature holds its defaults
+# verify flag -> keyword of the suite it applies to; a set flag the suite
+# does not take is an error, and unset flags are not passed, so each suite's
+# own signature holds its defaults
 _SUITE_FLAGS = {
     "canonical": {"max_n": "max_n"},
     "parity": {"n": "n", "pool": "pool"},
@@ -127,8 +128,13 @@ _SUITE_FLAGS = {
 
 
 def cmd_verify(args) -> int:
-    flags = _SUITE_FLAGS.get(args.suite, {}).items()
-    kwargs = {kw: getattr(args, flag) for flag, kw in flags if getattr(args, flag) is not None}
+    flags = _SUITE_FLAGS.get(args.suite, {})
+    given = {f for table in _SUITE_FLAGS.values() for f in table if getattr(args, f) is not None}
+    extra = sorted(given - flags.keys())
+    if extra:
+        names = ", ".join("--" + f.replace("_", "-") for f in extra)
+        raise CliError(f"suite {args.suite} does not take {names}")
+    kwargs = {kw: getattr(args, flag) for flag, kw in flags.items() if flag in given}
     results = run_suite(args.suite, **kwargs)
     failures = [r for r in results if not r.ok]
     for r in results:

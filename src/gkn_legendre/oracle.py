@@ -2,21 +2,22 @@
 
 Everything here lives in the class of functions
 
-    plain(x) + logpart(x) * L(x) + log2part(x) * L(x)**2,
+    (N0(x) + N1(x) * L(x) + N2(x) * L(x)**2) / ((1-x)**a * (1+x)**b),
 
-with L(x) = (1/2) ln((1+x)/(1-x)) and each part a rational function whose
-denominator is a power of (1-x) times a power of (1+x).  The class contains
-every Q_k, is closed under d/dx (since L'(x) = 1/(1-x**2)), under application
-of the operator f -> -((1-x**2) f')', and under the double-sum boundary form.
-The L**2 slot exists because products of two log-bearing functions genuinely
-occur inside the boundary form; its contribution must die at the endpoints,
-and a surviving L**2 term is flagged as divergence rather than dropped.
+with L(x) = (1/2) ln((1+x)/(1-x)), polynomial numerators N0, N1, N2 and one
+denominator shared by all three.  The class contains every Q_k, is closed
+under d/dx (since L'(x) = 1/(1-x**2)), under application of the operator
+f -> -((1-x**2) f')', and under the double-sum boundary form.  The L**2
+power exists because products of two log-bearing functions genuinely occur
+inside the boundary form; its contribution must die at the endpoints, and a
+surviving L**2 term is flagged as divergence rather than dropped.
 
-Each part is an ``EndRat``, canonical by construction: its constructor
-cancels the (1 +- x) factors its numerator shares with its denominator, so
-structural equality is exact.  Endpoint limits are decided exactly: a part
-either has a pole (divergent), a plain value, or - for the log-bearing parts -
-vanishes to positive order, which kills the logarithm.
+``LogRat`` is the one function type, canonical by construction: its
+constructor cancels a (1 +- x) factor while all three numerators vanish at
+that endpoint, so structural equality is exact.  Endpoint limits are decided
+exactly: each power of L either has a pole (divergent), a plain value, or -
+for the log-bearing powers - vanishes to positive order, which kills the
+logarithm.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from .exactnum import legendre_stirling, rational_str
 
 __all__ = [
-    "EndRat",
     "LogRat",
     "DivergentLimit",
     "lagrangian_coefficients",
@@ -44,6 +44,10 @@ __all__ = [
 
 _ONE_MINUS_X = Poly([1, -1])
 _ONE_PLUS_X = Poly([1, 1])
+_ONE_MINUS_X2 = _ONE_MINUS_X * _ONE_PLUS_X
+# suffixes naming the powers L**0, L**1, L**2
+_POWER_TEXT = ("", " * ln((1+x)/(1-x))/2", " * (ln((1+x)/(1-x))/2)^2")
+_POWER_NAME = ("", " * L", " * L^2")
 
 
 class DivergentLimit(ValueError):
@@ -56,180 +60,121 @@ class DivergentLimit(ValueError):
 
 
 @dataclass(frozen=True)
-class EndRat:
-    """num(x) / ((1-x)**pow_one_minus * (1+x)**pow_one_plus), canonical by
-    construction: num shares no (1 -+ x) factor with the denominator."""
+class LogRat:
+    """(N0 + N1 * L + N2 * L**2) / ((1-x)**pow_one_minus * (1+x)**pow_one_plus).
 
-    num: Poly
+    ``nums`` is padded with zeros to (N0, N1, N2).  Canonical by
+    construction: the numerators share no (1 -+ x) factor with the
+    denominator, and zero is stored over the denominator 1.
+    """
+
+    nums: tuple[Poly, ...] = ()
     pow_one_minus: int = 0
     pow_one_plus: int = 0
 
     def __post_init__(self):
-        num, a, b = self.num, self.pow_one_minus, self.pow_one_plus
-        if num.is_zero():
+        nums = tuple(self.nums) + (Poly.ZERO,) * (3 - len(self.nums))
+        if len(nums) > 3:
+            raise ValueError("LogRat: degree in L(x) exceeds 2")
+        a, b = self.pow_one_minus, self.pow_one_plus
+        if not any(nums):
             a = b = 0
         # cancel (1-x) factors: num = (1-x) q  <=>  num = -(x-1) q
-        while a > 0 and num(1) == 0:
-            num = -num.deflate(1)
+        while a > 0 and all(p(1) == 0 for p in nums):
+            nums = tuple(-p.deflate(1) for p in nums)
             a -= 1
-        while b > 0 and num(-1) == 0:
-            num = num.deflate(-1)
+        while b > 0 and all(p(-1) == 0 for p in nums):
+            nums = tuple(p.deflate(-1) for p in nums)
             b -= 1
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "pow_one_minus", a)
         object.__setattr__(self, "pow_one_plus", b)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "EndRat") -> "EndRat":
-        a = max(self.pow_one_minus, other.pow_one_minus)
-        b = max(self.pow_one_plus, other.pow_one_plus)
-        n1 = self.num * _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (
-            b - self.pow_one_plus
-        )
-        n2 = other.num * _ONE_MINUS_X ** (a - other.pow_one_minus) * _ONE_PLUS_X ** (
-            b - other.pow_one_plus
-        )
-        return EndRat(n1 + n2, a, b)
-
-    def __neg__(self) -> "EndRat":
-        return EndRat(-self.num, self.pow_one_minus, self.pow_one_plus)
-
-    def __sub__(self, other: "EndRat") -> "EndRat":
-        return self + (-other)
-
-    def __mul__(self, other) -> "EndRat":
-        if isinstance(other, EndRat):
-            return EndRat(
-                self.num * other.num,
-                self.pow_one_minus + other.pow_one_minus,
-                self.pow_one_plus + other.pow_one_plus,
-            )
-        return EndRat(self.num * other, self.pow_one_minus, self.pow_one_plus)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "EndRat":
-        a, b = self.pow_one_minus, self.pow_one_plus
-        num = (
-            self.num.derivative() * _ONE_MINUS_X * _ONE_PLUS_X
-            + a * (self.num * _ONE_PLUS_X)
-            - b * (self.num * _ONE_MINUS_X)
-        )
-        return EndRat(num, a + 1, b + 1)
-
-    def order_at(self, at: str) -> int:
-        """Order of vanishing at the endpoint; negative means a pole.
-
-        The zero function is reported with a large positive order.
-        """
-        if self.num.is_zero():
-            return 1 << 30
-        if at == "plus_one":
-            return self.num.root_multiplicity(1) - self.pow_one_minus
-        if at == "minus_one":
-            return self.num.root_multiplicity(-1) - self.pow_one_plus
-        raise ValueError(f"unknown endpoint {at!r}")
-
-    def value_at(self, at: str) -> Fraction:
-        """Exact finite value at the endpoint; a pole there raises ValueError."""
-        if at == "plus_one":
-            x, pole, other = 1, self.pow_one_minus, self.pow_one_plus
-        else:
-            x, pole, other = -1, self.pow_one_plus, self.pow_one_minus
-        # canonical form: a denominator factor vanishing at x is a pole
-        if pole:
-            raise ValueError(f"value_at: pole of order {pole} at {at}")
-        return self.num(x) / 2**other
-
-    def __str__(self) -> str:
-        s = str(self.num)
-        if self.num.degree > 0 and (self.pow_one_minus or self.pow_one_plus):
-            s = f"({s})"
-        den = []
-        if self.pow_one_minus:
-            den.append("(1-x)" + (f"^{self.pow_one_minus}" if self.pow_one_minus > 1 else ""))
-        if self.pow_one_plus:
-            den.append("(1+x)" + (f"^{self.pow_one_plus}" if self.pow_one_plus > 1 else ""))
-        if den:
-            s += " / (" + "".join(den) + ")"
-        return s
-
-
-EndRat.ZERO = EndRat(Poly.ZERO, 0, 0)
-EndRat.ONE = EndRat(Poly.ONE, 0, 0)
-# L'(x) = 1/(1-x**2)
-_LAMBDA_PRIME = EndRat(Poly.ONE, 1, 1)
-
-
-@dataclass(frozen=True)
-class LogRat:
-    """plain + logpart * L(x) + log2part * L(x)**2."""
-
-    plain: EndRat
-    logpart: EndRat = EndRat.ZERO
-    log2part: EndRat = EndRat.ZERO
-
     @staticmethod
     def from_poly(p: Poly) -> "LogRat":
-        return LogRat(EndRat(p))
+        return LogRat((p,))
 
     @staticmethod
     def lam() -> "LogRat":
-        return LogRat(EndRat.ZERO, EndRat.ONE)
+        return LogRat((Poly.ZERO, Poly.ONE))
 
     def is_zero(self) -> bool:
-        return self.plain.is_zero() and self.logpart.is_zero() and self.log2part.is_zero()
+        return not any(self.nums)
+
+    def term(self, m: int) -> "LogRat":
+        """The coefficient of L**m, as a function of its own."""
+        return LogRat((self.nums[m],), self.pow_one_minus, self.pow_one_plus)
+
+    def _lifted(self, a: int, b: int) -> tuple[Poly, ...]:
+        """The numerators over the denominator (1-x)**a (1+x)**b."""
+        if (a, b) == (self.pow_one_minus, self.pow_one_plus):
+            return self.nums
+        factor = _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (b - self.pow_one_plus)
+        return tuple(p * factor for p in self.nums)
 
     def __add__(self, other: "LogRat") -> "LogRat":
-        return LogRat(
-            self.plain + other.plain,
-            self.logpart + other.logpart,
-            self.log2part + other.log2part,
-        )
+        a = max(self.pow_one_minus, other.pow_one_minus)
+        b = max(self.pow_one_plus, other.pow_one_plus)
+        nums = zip(self._lifted(a, b), other._lifted(a, b))
+        return LogRat(tuple(p + q for p, q in nums), a, b)
 
     def __neg__(self) -> "LogRat":
-        return LogRat(-self.plain, -self.logpart, -self.log2part)
+        return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus)
 
     def __sub__(self, other: "LogRat") -> "LogRat":
         return self + (-other)
 
     def __mul__(self, other) -> "LogRat":
-        if isinstance(other, LogRat):
-            deg2 = (
-                (self.log2part, other.log2part),
-                (self.logpart, other.log2part),
-                (self.log2part, other.logpart),
-            )
-            if any(not a.is_zero() and not b.is_zero() for a, b in deg2):
-                raise ValueError("product would exceed degree 2 in L(x)")
-            return LogRat(
-                self.plain * other.plain,
-                self.plain * other.logpart + self.logpart * other.plain,
-                self.plain * other.log2part
-                + self.logpart * other.logpart
-                + self.log2part * other.plain,
-            )
-        return LogRat(self.plain * other, self.logpart * other, self.log2part * other)
+        a, b = self.pow_one_minus, self.pow_one_plus
+        if not isinstance(other, LogRat):
+            return LogRat(tuple(p * other for p in self.nums), a, b)
+        nums = [Poly.ZERO] * 3
+        for i, p in enumerate(self.nums):
+            for j, q in enumerate(other.nums):
+                if p and q:
+                    if i + j > 2:
+                        raise ValueError("product would exceed degree 2 in L(x)")
+                    nums[i + j] = nums[i + j] + p * q
+        return LogRat(tuple(nums), a + other.pow_one_minus, b + other.pow_one_plus)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "LogRat":
-        return LogRat(
-            self.plain.derivative() + self.logpart * _LAMBDA_PRIME,
-            self.logpart.derivative() + 2 * (self.log2part * _LAMBDA_PRIME),
-            self.log2part.derivative(),
+        # (N/D)' = (N'(1-x**2) + N (a(1+x) - b(1-x))) / (D (1-x**2)), and
+        # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2)
+        a, b = self.pow_one_minus, self.pow_one_plus
+        slope = Poly([a - b, a + b])
+        nxt = self.nums[1:] + (Poly.ZERO,)
+        nums = tuple(
+            p.derivative() * _ONE_MINUS_X2 + p * slope + (m + 1) * nxt[m]
+            for m, p in enumerate(self.nums)
         )
+        return LogRat(nums, a + 1, b + 1)
+
+    def order_at(self, at: str) -> tuple[int, ...]:
+        """Order of vanishing at the endpoint of each power of L; negative
+        means a pole.  A zero term is reported with a large positive order."""
+        if at == "plus_one":
+            x, pole = 1, self.pow_one_minus
+        elif at == "minus_one":
+            x, pole = -1, self.pow_one_plus
+        else:
+            raise ValueError("at must be 'plus_one' or 'minus_one'")
+        return tuple(p.root_multiplicity(x) - pole if p else 1 << 30 for p in self.nums)
 
     def __str__(self) -> str:
         parts = []
-        if not self.plain.is_zero():
-            parts.append(str(self.plain))
-        if not self.logpart.is_zero():
-            parts.append(f"[{self.logpart}] * ln((1+x)/(1-x))/2")
-        if not self.log2part.is_zero():
-            parts.append(f"[{self.log2part}] * (ln((1+x)/(1-x))/2)^2")
+        for m, p in enumerate(self.nums):
+            if p:
+                # each power of L over its own reduced denominator
+                t = self.term(m)
+                r, a, b = t.nums[0], t.pow_one_minus, t.pow_one_plus
+                den = "".join(
+                    f"({f})" + (f"^{e}" if e > 1 else "") for f, e in (("1-x", a), ("1+x", b)) if e
+                )
+                num = f"({r})" if den and r.degree > 0 else str(r)
+                s = f"{num} / ({den})" if den else num
+                parts.append(f"[{s}]{_POWER_TEXT[m]}" if m else s)
         return " + ".join(parts) if parts else "0"
 
 
@@ -238,7 +183,7 @@ def classical_to_lograt(f: ClassicalFunction) -> LogRat:
     if f.kind == "P":
         return LogRat.from_poly(legendre_p(f.index))
     q = legendre_q(f.index)
-    return LogRat(EndRat(-q.poly_part), EndRat(q.log_coeff))
+    return LogRat((-q.poly_part, q.log_coeff))
 
 
 def _derivatives(f: LogRat, count: int) -> list[LogRat]:
@@ -251,7 +196,7 @@ def _derivatives(f: LogRat, count: int) -> list[LogRat]:
 
 def apply_ell(f: LogRat) -> LogRat:
     """One application of f -> -((1-x**2) f')'."""
-    w = LogRat.from_poly(_ONE_MINUS_X * _ONE_PLUS_X)
+    w = LogRat.from_poly(_ONE_MINUS_X2)
     return -((w * f.derivative()).derivative())
 
 
@@ -268,16 +213,15 @@ def lagrangian_coefficients(n: int) -> list[tuple[int, LogRat]]:
     """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n."""
     if n < 1:
         raise ValueError("lagrangian_coefficients: n must be >= 1")
-    one_minus_x2 = _ONE_MINUS_X * _ONE_PLUS_X
     return [
-        (k, LogRat.from_poly(legendre_stirling(n, k) * one_minus_x2**k))
+        (k, LogRat.from_poly(legendre_stirling(n, k) * _ONE_MINUS_X2**k))
         for k in range(1, n + 1)
     ]
 
 
 def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     """The 2n-th order expansion sum_k (-1)**k (a_k f^(k))^(k)."""
-    total = LogRat(EndRat.ZERO)
+    total = LogRat()
     derivs = _derivatives(f, n)
     for k, a_k in lagrangian_coefficients(n):
         term = _derivatives(a_k * derivs[k], k)[-1]
@@ -297,7 +241,7 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
         raise ValueError("sesquilinear_at: n must be >= 1")
     fder = _derivatives(f, n)
     gder = _derivatives(g, n)
-    total = LogRat(EndRat.ZERO)
+    total = LogRat()
     for k, a_k in lagrangian_coefficients(n):
         # chains (a_k g^(k))^(i) and (a_k f^(k))^(i) for i = 0..k-1
         gchain = _derivatives(a_k * gder[k], k - 1)
@@ -311,22 +255,17 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
 def endpoint_limit(f: LogRat, at: str) -> Fraction:
     """Exact limit of f at +1 or -1; raises DivergentLimit otherwise.
 
-    The limit exists iff the plain part has no pole and both log-bearing
-    parts vanish to positive order at the endpoint (a surviving logarithm,
-    squared or not, diverges).  The value is then the plain part's value.
+    The limit exists iff the L**0 term has no pole and both log-bearing
+    terms vanish to positive order at the endpoint (a surviving logarithm,
+    squared or not, diverges).  The value is then the L**0 term's value.
     """
-    if at not in ("plus_one", "minus_one"):
-        raise ValueError("at must be 'plus_one' or 'minus_one'")
-    for name, part, needed in (
-        ("L^2", f.log2part, 1),
-        ("L", f.logpart, 1),
-        ("plain", f.plain, 0),
-    ):
-        ord_ = part.order_at(at)
-        if ord_ < needed:
-            factor = f" * {name}" if name != "plain" else ""
-            raise DivergentLimit(at, f"order {ord_} term [{part}]{factor}")
-    return f.plain.value_at(at)
+    orders = f.order_at(at)
+    for m in (2, 1, 0):
+        if orders[m] < (1 if m else 0):
+            raise DivergentLimit(at, f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}")
+    # canonical form: a denominator factor vanishing at the endpoint would now
+    # divide all three numerators, so it is gone and the rest is 2**(a+b) there
+    return f.nums[0](1 if at == "plus_one" else -1) / 2 ** (f.pow_one_minus + f.pow_one_plus)
 
 
 def bracket_via_oracle(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:

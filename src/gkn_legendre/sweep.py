@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import __version__
 from .exactnum import rational_str
-from .matrices import IndexSelection, b_block, build_matrix, det_exact, rank_exact
+from .matrices import IndexSelection, b_block, build_matrix, det_exact, parity_census, rank_exact
 
 __all__ = ["RunConfig", "SweepRecord", "enumerate_selections", "evaluate_selection", "run_sweep"]
 
@@ -73,7 +73,8 @@ class RunConfig:
 
 
 def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
-    """All r = s = n selections from indices [0..pool_bound], sorted by key.
+    """All r = s = n selections from indices [0..pool_bound], in
+    lexicographic order of the (P, Q) index tuples.
 
     With the parity filter on, only selections whose index census is (n, n)
     are yielded: these are the candidates the conjecture speaks about.
@@ -82,14 +83,10 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
         return
     pool = range(pool_bound + 1)
     for p in combinations(pool, n):
-        p_evens = sum(1 for i in p if i % 2 == 0)
         for q in combinations(pool, n):
-            if parity_filter:
-                q_evens = sum(1 for i in q if i % 2 == 0)
-                # complementary parity: as many even Q's as odd P's
-                if q_evens != n - p_evens:
-                    continue
-            yield IndexSelection(p, q, n)
+            sel = IndexSelection(p, q, n)
+            if not parity_filter or parity_census(sel) == (n, n):
+                yield sel
 
 
 def evaluate_selection(sel: IndexSelection) -> tuple[str, int, bool, str]:

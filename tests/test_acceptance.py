@@ -24,7 +24,7 @@ from gkn_legendre.oracle import (
     classical_to_lograt,
     fn_condition_check,
 )
-from gkn_legendre.sweep import RunConfig, run_sweep
+from gkn_legendre.sweep import RunConfig, read_ledger, run_sweep
 from gkn_legendre.verify import (
     entry_digits,
     suite_canonical,
@@ -191,12 +191,14 @@ class TestAcceptance:
         cfg = RunConfig(power=3, pool_bound=9, ledger_path=str(tmp_path / "sweep.jsonl"))
         records = run_sweep(cfg)
         deficient = [r for r in records if not r.full_rank]
-        # counterexamples would be persisted and surfaced, not silently dropped
-        persisted = all(
-            (not r.full_rank) == (r.det_b == "0") or r.full_rank for r in records
-        )
+        # counterexamples would be persisted and surfaced, not silently dropped:
+        # the ledger on disk holds exactly the returned records
+        on_disk = sorted(rec["key"] for rec in read_ledger(cfg.ledger_path))
+        persisted = on_disk == sorted(r.key() for r in records)
+        # det M = det(B)**2, so full rank is exactly det(B) != 0
+        consistent = all(r.full_rank == (r.det_b != "0") for r in records)
         report(
             "10 conjecture sweep n=3 indices<=9: no rank-deficient selections",
-            bool(records) and not deficient and persisted,
+            bool(records) and not deficient and persisted and consistent,
             f"{len(records)} balanced selections, {len(deficient)} deficient",
         )

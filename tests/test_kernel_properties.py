@@ -3,9 +3,10 @@
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random rational
 matrices, and the structural identities of the bracket matrices are checked
-on random r = s = n selections.  The oracle's ``EndRat`` is checked to be
+on random r = s = n selections.  The oracle's ``LogRat`` is checked to be
 canonical by construction, with an equality that agrees with
-cross-multiplication.
+cross-multiplication, and its boundary form and brackets are checked to be
+antisymmetric on random pairs of classical functions.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkn_legendre.classical import Poly
+from gkn_legendre.brackets import bracket
+from gkn_legendre.classical import ClassicalFunction, Poly
 from gkn_legendre.matrices import (
     IndexSelection,
     b_block,
@@ -22,7 +24,14 @@ from gkn_legendre.matrices import (
     det_exact,
     rank_exact,
 )
-from gkn_legendre.oracle import EndRat
+from gkn_legendre.oracle import (
+    DivergentLimit,
+    LogRat,
+    bracket_via_oracle,
+    classical_to_lograt,
+    endpoint_limit,
+    sesquilinear_at,
+)
 
 
 def reference_rank_det(matrix):
@@ -117,47 +126,70 @@ def test_det_m_is_square_of_det_b(sel):
 
 ONE_MINUS_X, ONE_PLUS_X = Poly([1, -1]), Poly([1, 1])
 int_polys = st.lists(st.integers(-3, 3), max_size=4).map(Poly)
+numerators = st.lists(int_polys, min_size=1, max_size=3)
 exponents = st.integers(0, 3)
 
 
+def padded(nums):
+    return list(nums) + [Poly.ZERO] * (3 - len(nums))
+
+
 def cross_multiplied_equal(x, y):
-    """num_x / den_x == num_y / den_y for raw (num, a, b) triples."""
-    (p, a, b), (q, c, d) = x, y
-    return p * ONE_MINUS_X**c * ONE_PLUS_X**d == q * ONE_MINUS_X**a * ONE_PLUS_X**b
+    """N_x / den_x == N_y / den_y for raw (nums, a, b) triples: L(x) is
+    transcendental over the rational functions, so each power of L must
+    agree on its own."""
+    (ps, a, b), (qs, c, d) = x, y
+    return all(
+        p * ONE_MINUS_X**c * ONE_PLUS_X**d == q * ONE_MINUS_X**a * ONE_PLUS_X**b
+        for p, q in zip(padded(ps), padded(qs))
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(int_polys.filter(bool), exponents, exponents, exponents, exponents)
-def test_endrat_cancels_shared_factors(p, a, b, i, j):
-    base = EndRat(p, a, b)
-    scaled = EndRat(p * ONE_MINUS_X**i * ONE_PLUS_X**j, a + i, b + j)
-    assert (scaled.num, scaled.pow_one_minus, scaled.pow_one_plus) == (
-        base.num, base.pow_one_minus, base.pow_one_plus
+@given(numerators.filter(any), exponents, exponents, exponents, exponents)
+def test_endrat_cancels_shared_factors(nums, a, b, i, j):
+    base = LogRat(nums, a, b)
+    factor = ONE_MINUS_X**i * ONE_PLUS_X**j
+    scaled = LogRat([p * factor for p in nums], a + i, b + j)
+    assert (scaled.nums, scaled.pow_one_minus, scaled.pow_one_plus) == (
+        base.nums, base.pow_one_minus, base.pow_one_plus
     )
-    assert base.pow_one_minus == 0 or base.num(1) != 0
-    assert base.pow_one_plus == 0 or base.num(-1) != 0
+    assert base.pow_one_minus == 0 or any(p(1) != 0 for p in base.nums)
+    assert base.pow_one_plus == 0 or any(p(-1) != 0 for p in base.nums)
     for at, pole in (("plus_one", base.pow_one_minus), ("minus_one", base.pow_one_plus)):
         if pole:
-            with pytest.raises(ValueError):
-                base.value_at(at)
+            with pytest.raises(DivergentLimit):
+                endpoint_limit(base, at)
 
 
 @st.composite
-def endrat_pairs(draw):
-    """Two raw (num, a, b) triples; half the time the second is the first
-    with a common (1 -+ x) factor put into numerator and denominator."""
-    p, a, b = draw(int_polys), draw(exponents), draw(exponents)
+def lograt_pairs(draw):
+    """Two raw (nums, a, b) triples; half the time the second is the first
+    with a common (1 -+ x) factor put into numerators and denominator."""
+    nums, a, b = draw(numerators), draw(exponents), draw(exponents)
     if draw(st.booleans()):
         i, j = draw(exponents), draw(exponents)
-        return (p, a, b), (p * ONE_MINUS_X**i * ONE_PLUS_X**j, a + i, b + j)
-    return (p, a, b), (draw(int_polys), draw(exponents), draw(exponents))
+        factor = ONE_MINUS_X**i * ONE_PLUS_X**j
+        return (nums, a, b), ([p * factor for p in nums], a + i, b + j)
+    return (nums, a, b), (draw(numerators), draw(exponents), draw(exponents))
 
 
 @settings(max_examples=300, deadline=None)
-@given(endrat_pairs())
+@given(lograt_pairs())
 def test_endrat_equality_is_cross_multiplication(pair):
     x, y = pair
-    e, f = EndRat(*x), EndRat(*y)
+    e, f = LogRat(*x), LogRat(*y)
     assert (e == f) == cross_multiplied_equal(x, y)
     if e == f:
         assert hash(e) == hash(f)
+
+
+classical_functions = st.builds(ClassicalFunction, st.sampled_from("PQ"), st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(classical_functions, classical_functions, st.integers(1, 3))
+def test_oracle_is_antisymmetric(f, g, n):
+    lf, lg = classical_to_lograt(f), classical_to_lograt(g)
+    assert sesquilinear_at(lf, lg, n) == -sesquilinear_at(lg, lf, n)
+    assert bracket_via_oracle(f, g, n) == -bracket(g, f, n)

@@ -8,7 +8,6 @@ from gkn_legendre.exactnum import legendre_stirling
 from gkn_legendre.matrices import det_exact
 from gkn_legendre.oracle import (
     DivergentLimit,
-    EndRat,
     LogRat,
     apply_ell,
     apply_ell_n,
@@ -30,55 +29,67 @@ def Q(i):
 
 
 LAMBDA = LogRat.lam()
+LAMBDA2 = LogRat((Poly.ZERO, Poly.ZERO, Poly.ONE))
 ONE_MINUS_X2 = LogRat.from_poly(Poly([1, 0, -1]))
+ZERO_ORDER = 1 << 30
 
 
 class TestEndRat:
+    """Rational functions with poles only at +-1: LogRats without L terms."""
+
     def test_cancellation(self):
         # (1-x^2) / (1-x) -> 1+x
-        e = EndRat(Poly([1, 0, -1]), 1, 0)
-        assert e == EndRat(Poly([1, 1]))
+        e = LogRat((Poly([1, 0, -1]),), 1, 0)
+        assert e == LogRat.from_poly(Poly([1, 1]))
         assert e.pow_one_minus == 0
+        # a factor is cancelled only while all three numerators share it
+        f = LogRat((Poly([1, 0, -1]), Poly.ONE), 1, 0)
+        assert f.pow_one_minus == 1
 
     def test_derivative_of_simple_pole(self):
-        e = EndRat(Poly.ONE, 1, 0)  # 1/(1-x)
+        e = LogRat((Poly.ONE,), 1, 0)  # 1/(1-x)
         d = e.derivative()
-        assert d == EndRat(Poly.ONE, 2, 0)
+        assert d == LogRat((Poly.ONE,), 2, 0)
 
     def test_orders(self):
-        e = EndRat(Poly([1, 0, -1]))  # 1-x^2
-        assert e.order_at("plus_one") == 1
-        assert e.order_at("minus_one") == 1
-        pole = EndRat(Poly.ONE, 2, 1)
-        assert pole.order_at("plus_one") == -2
-        assert pole.order_at("minus_one") == -1
+        e = LogRat.from_poly(Poly([1, 0, -1]))  # 1-x^2
+        assert e.order_at("plus_one") == (1, ZERO_ORDER, ZERO_ORDER)
+        assert e.order_at("minus_one") == (1, ZERO_ORDER, ZERO_ORDER)
+        pole = LogRat((Poly.ONE,), 2, 1)
+        assert pole.order_at("plus_one")[0] == -2
+        assert pole.order_at("minus_one")[0] == -1
+        # (1 + (1-x) L) / ((1-x)^2 (1+x)): each power of L has its own order
+        mixed = LogRat((Poly.ONE, Poly([1, -1])), 2, 1)
+        assert mixed.order_at("plus_one") == (-2, -1, ZERO_ORDER)
 
     def test_value_at(self):
-        e = EndRat(Poly([0, 1]), 0, 1)  # x/(1+x)
-        assert e.value_at("plus_one") == Fraction(1, 2)
+        e = LogRat((Poly([0, 1]),), 0, 1)  # x/(1+x)
+        assert endpoint_limit(e, "plus_one") == Fraction(1, 2)
+        # (x + (1-x) L) / (1+x): the log term vanishes at +1
+        f = LogRat((Poly([0, 1]), Poly([1, -1])), 0, 1)
+        assert endpoint_limit(f, "plus_one") == Fraction(1, 2)
 
 
 class TestDifferentiate:
     def test_lambda_prime(self):
         d = LAMBDA.derivative()
-        assert d.logpart.is_zero()
-        assert d.plain == EndRat(Poly.ONE, 1, 1)
+        assert d.term(1).is_zero()
+        assert d == LogRat((Poly.ONE,), 1, 1)
 
     def test_q1_derivative(self):
         # d/dx (x*L - 1) = L + x/(1-x^2)
         d = classical_to_lograt(Q(1)).derivative()
-        assert d.logpart == EndRat.ONE
-        assert d.plain == EndRat(Poly([0, 1]), 1, 1)
+        assert d.term(1) == LogRat.from_poly(Poly.ONE)
+        assert d.term(0) == LogRat((Poly([0, 1]),), 1, 1)
 
     def test_polynomial(self):
         d = LogRat.from_poly(Poly([0, 0, 1])).derivative()
         assert d == LogRat.from_poly(Poly([0, 2]))
 
     def test_log_squared_chain(self):
-        f = LogRat(EndRat.ZERO, EndRat.ZERO, EndRat.ONE)  # L^2
-        d = f.derivative()
-        assert d.logpart == EndRat(Poly([2]), 1, 1)
-        assert d.log2part.is_zero()
+        d = LAMBDA2.derivative()
+        assert d.term(1) == LogRat((Poly([2]),), 1, 1)
+        assert d.term(2).is_zero()
 
 
 class TestOperatorApplication:
@@ -119,7 +130,7 @@ class TestEndpointLimit:
             endpoint_limit(LAMBDA, "plus_one")
 
     def test_pole_diverges_with_leading_term(self):
-        f = LogRat(EndRat(Poly.ONE, 1, 0))
+        f = LogRat((Poly.ONE,), 1, 0)
         with pytest.raises(DivergentLimit) as err:
             endpoint_limit(f, "plus_one")
         assert "order -1" in str(err.value)
@@ -134,12 +145,12 @@ class TestEndpointLimit:
                     assert endpoint_limit(f, "minus_one") == 0
 
     def test_log_squared_vanishes_with_factor(self):
-        f = ONE_MINUS_X2 * LogRat(EndRat.ZERO, EndRat.ZERO, EndRat.ONE)
+        f = ONE_MINUS_X2 * LAMBDA2
         assert endpoint_limit(f, "plus_one") == 0
 
     def test_log_squared_without_factor_diverges(self):
         with pytest.raises(DivergentLimit):
-            endpoint_limit(LogRat(EndRat.ZERO, EndRat.ZERO, EndRat.ONE), "plus_one")
+            endpoint_limit(LAMBDA2, "plus_one")
 
 
 class TestSesquilinearForm:
@@ -210,7 +221,7 @@ class TestFnConditions:
         assert reports[1].difference_zero
 
     def test_divergence_reported_not_raised(self):
-        f = LogRat(EndRat(Poly.ONE, 1, 0))  # 1/(1-x), diverges at +1
+        f = LogRat((Poly.ONE,), 1, 0)  # 1/(1-x), diverges at +1
         reports = fn_condition_check(f, 1)
         assert reports[0].right_limit_exists is False
 
@@ -240,7 +251,7 @@ class TestLegendreStirlingCertification:
             basis.append(term if k % 2 == 0 else -term)
         # pick n coefficient positions and solve the linear system exactly
         def coeff(expr, i):
-            cs = expr.plain.num.coeffs
+            cs = expr.nums[0].coeffs
             return cs[i] if i < len(cs) else Fraction(0)
 
         rows_idx = list(range(1, 2 * n + 2, 2))[:n]

@@ -248,6 +248,24 @@ class TestCliVerify:
         assert captured.err.strip()
 
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["--suite", "paper-tables", "--max-n", "1"], ["--max-n"]),
+        (["--suite", "canonical", "--max-n", "2", "--pool", "3", "--max-index", "1"],
+         ["--max-index", "--pool"]),
+        (["--suite", "parity", "--max-n", "2"], ["--max-n"]),
+        (["--suite", "n2-exhaustive", "--n", "2"], ["--n"]),
+        (["--suite", "oracle", "--pool", "3"], ["--pool"]),
+    ], ids=["paper-tables", "canonical", "parity", "n2-exhaustive", "oracle"])
+    def test_inapplicable_flag_rejected(self, argv, flags, tmp_path, capsys):
+        dump = tmp_path / "failures.json"
+        assert main(["verify", *argv, "--failure-dump", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"suite {argv[1]}" in captured.err
+        assert all(flag in captured.err for flag in flags)
+        assert not dump.exists()
+
+
 class TestCliSweep:
     def test_pretty_and_exit_zero(self, tmp_path, capsys):
         ledger = str(tmp_path / "s.jsonl")
