@@ -125,6 +125,9 @@ _SUITE_FLAGS = {
     "n2-exhaustive": {"pool": "max_p_index"},
     "oracle": {"max_index": "max_index", "max_n": "max_n"},
 }
+# the least value each verify flag takes; below it the flag is a usage error,
+# not a claim that failed
+_FLAG_MIN = {"max_n": 0, "max_index": 0, "pool": 0, "n": 1}
 
 
 def cmd_verify(args) -> int:
@@ -134,6 +137,9 @@ def cmd_verify(args) -> int:
     if extra:
         names = ", ".join("--" + f.replace("_", "-") for f in extra)
         raise CliError(f"suite {args.suite} does not take {names}")
+    for flag in sorted(given):
+        if getattr(args, flag) < _FLAG_MIN[flag]:
+            raise CliError(f"--{flag.replace('_', '-')} must be >= {_FLAG_MIN[flag]}")
     kwargs = {kw: getattr(args, flag) for flag, kw in flags.items() if flag in given}
     results = run_suite(args.suite, **kwargs)
     failures = [r for r in results if not r.ok]

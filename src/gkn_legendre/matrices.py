@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -28,6 +29,7 @@ __all__ = [
     "det_exact",
     "is_li_mod_dmin",
     "parity_census",
+    "enumerate_selections",
     "glazman_symmetry_check",
 ]
 
@@ -114,17 +116,15 @@ def build_matrix(sel: IndexSelection) -> BracketMatrix:
 
 def b_block(sel: IndexSelection) -> list[list[Fraction]]:
     """The P-vs-Q (upper right) block."""
-    n = sel.power
-    ps = [ClassicalFunction("P", i) for i in sel.p_indices]
-    qs = [ClassicalFunction("Q", i) for i in sel.q_indices]
-    return [[bracket(p, q, n) for q in qs] for p in ps]
+    labels, r = sel.labels, len(sel.p_indices)
+    ps, qs = labels[:r], labels[r:]
+    return [[bracket(p, q, sel.power) for q in qs] for p in ps]
 
 
 def c_block(sel: IndexSelection) -> list[list[Fraction]]:
     """The Q-vs-Q (lower right) block."""
-    n = sel.power
-    qs = [ClassicalFunction("Q", i) for i in sel.q_indices]
-    return [[bracket(a, b, n) for b in qs] for a in qs]
+    qs = sel.labels[len(sel.p_indices) :]
+    return [[bracket(a, b, sel.power) for b in qs] for a in qs]
 
 
 def _bareiss(matrix) -> tuple[int, Fraction]:
@@ -190,11 +190,29 @@ def is_li_mod_dmin(sel: IndexSelection) -> bool:
     return rank_exact(m.entries) == m.size
 
 
-def parity_census(sel: IndexSelection) -> tuple[int, int]:
-    """(evens, odds) over the union of P- and Q-indices, with multiplicity."""
-    idx = list(sel.p_indices) + list(sel.q_indices)
+def _census(idx: tuple[int, ...]) -> tuple[int, int]:
+    """(evens, odds) over an index tuple, with multiplicity."""
     evens = sum(1 for i in idx if i % 2 == 0)
     return evens, len(idx) - evens
+
+
+def parity_census(sel: IndexSelection) -> tuple[int, int]:
+    """(evens, odds) over the union of P- and Q-indices, with multiplicity."""
+    return _census(sel.p_indices + sel.q_indices)
+
+
+def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
+    """All r = s = n selections from indices [0..pool_bound], in
+    lexicographic order of the (P, Q) index tuples.
+
+    With the parity filter on, only selections whose index census is (n, n)
+    are yielded: these are the candidates the conjecture speaks about.
+    """
+    pool = range(pool_bound + 1)
+    for p in combinations(pool, n):
+        for q in combinations(pool, n):
+            if not parity_filter or _census(p + q) == (n, n):
+                yield IndexSelection(p, q, n)
 
 
 def glazman_symmetry_check(functions, n: int) -> bool:

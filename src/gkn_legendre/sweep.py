@@ -18,11 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import combinations
 
 from . import __version__
 from .exactnum import rational_str
-from .matrices import IndexSelection, b_block, build_matrix, det_exact, parity_census, rank_exact
+from .matrices import IndexSelection, b_block, build_matrix, det_exact, enumerate_selections, rank_exact
 
 __all__ = ["RunConfig", "SweepRecord", "enumerate_selections", "evaluate_selection", "run_sweep"]
 
@@ -70,23 +69,6 @@ class RunConfig:
             raise ValueError("power must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
-    """All r = s = n selections from indices [0..pool_bound], in
-    lexicographic order of the (P, Q) index tuples.
-
-    With the parity filter on, only selections whose index census is (n, n)
-    are yielded: these are the candidates the conjecture speaks about.
-    """
-    if pool_bound < 0 or pool_bound + 1 < n:
-        return
-    pool = range(pool_bound + 1)
-    for p in combinations(pool, n):
-        for q in combinations(pool, n):
-            sel = IndexSelection(p, q, n)
-            if not parity_filter or parity_census(sel) == (n, n):
-                yield sel
 
 
 def evaluate_selection(sel: IndexSelection) -> tuple[str, int, bool, str]:
@@ -144,14 +126,15 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     """Evaluate all missing selections, appending each record as it arrives.
 
     Returns the newly appended records, in deterministic (key-sorted) order
-    regardless of worker count.
+    regardless of worker count.  Raises ValueError, before the ledger is
+    read, if the pool admits no selection at all.
     """
+    candidates = list(enumerate_selections(config.power, config.pool_bound, config.parity_filter))
+    if not candidates:
+        kind = "parity-balanced selection" if config.parity_filter else "selection"
+        raise ValueError(f"pool bound {config.pool_bound} admits no {kind} for n={config.power}")
     done = _load_ledger_keys(config.ledger_path)
-    todo = [
-        sel
-        for sel in enumerate_selections(config.power, config.pool_bound, config.parity_filter)
-        if sel.key() not in done
-    ]
+    todo = [sel for sel in candidates if sel.key() not in done]
     todo.sort(key=lambda s: s.key())
     if not todo:
         return []

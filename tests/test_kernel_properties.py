@@ -3,10 +3,11 @@
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random rational
 matrices, and the structural identities of the bracket matrices are checked
-on random r = s = n selections.  The oracle's ``LogRat`` is checked to be
-canonical by construction, with an equality that agrees with
-cross-multiplication, and its boundary form and brackets are checked to be
-antisymmetric on random pairs of classical functions.
+on random r = s = n selections, with the sign law of the parity blocks of B
+on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
+construction, with an equality that agrees with cross-multiplication, and
+its boundary form and brackets are checked to be antisymmetric on random
+pairs of classical functions.
 """
 
 from fractions import Fraction
@@ -122,6 +123,40 @@ def test_det_m_is_square_of_det_b(sel):
     det_b = det_exact(b_block(sel))
     assert det_exact(m) == det_b**2
     assert (rank_exact(m) == 2 * sel.power) == (det_b != 0)
+
+
+@st.composite
+def balanced_selections(draw):
+    """Parity-balanced r = s = n selections, n <= 4, indices <= 12, built so:
+    Q takes as many even indices as P has odd ones."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.integers(0, n))  # odd P indices, and so even Q indices
+
+    def indices(parity, count):
+        pool = range(parity, 13, 2)
+        return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count, unique=True))
+
+    p = tuple(sorted(indices(0, n - a) + indices(1, a)))
+    q = tuple(sorted(indices(0, a) + indices(1, n - a)))
+    return IndexSelection(p, q, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(balanced_selections())
+def test_parity_blocks_obey_the_sign_law(sel):
+    """B splits into an even-P x odd-Q and an odd-P x even-Q block, each
+    square; a block of size a has a nonzero det of sign (-1)^(a(a-1)/2)."""
+    b = b_block(sel)
+    for parity in (0, 1):
+        rows = [i for i, j in enumerate(sel.p_indices) if j % 2 == parity]
+        cols = [i for i, k in enumerate(sel.q_indices) if k % 2 != parity]
+        others = [i for i, k in enumerate(sel.q_indices) if k % 2 == parity]
+        assert all(b[i][c] == 0 for i in rows for c in others)
+        assert len(rows) == len(cols)
+        a = len(rows)
+        det = det_exact([[b[i][c] for c in cols] for i in rows])
+        assert det != 0
+        assert (det > 0) == ((a * (a - 1) // 2) % 2 == 0)
 
 
 ONE_MINUS_X, ONE_PLUS_X = Poly([1, -1]), Poly([1, 1])

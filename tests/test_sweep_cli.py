@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gkn_legendre.matrices as matrices_module
 import gkn_legendre.sweep as sweep_module
 from gkn_legendre.cli import main
 from gkn_legendre.matrices import IndexSelection, parity_census
@@ -16,15 +17,26 @@ from gkn_legendre.sweep import (
 
 
 class TestEnumeration:
-    def test_counts_n2_pool3(self):
-        # indices 0..3, choose 2 for P and 2 for Q with complementary parity
-        sels = list(enumerate_selections(2, 3))
-        assert len(sels) == sum(
-            1
-            for s in enumerate_selections(2, 3, parity_filter=False)
-            if parity_census(s) == (2, 2)
-        )
-        assert all(parity_census(s) == (2, 2) for s in sels)
+    @pytest.mark.parametrize("n, pool", [(1, 0), (2, 3), (3, 5), (4, 7)])
+    def test_counts_n2_pool3(self, n, pool):
+        # the filter keeps exactly the balanced selections, in unfiltered order
+        keys = [s.key() for s in enumerate_selections(n, pool)]
+        assert keys == [
+            s.key()
+            for s in enumerate_selections(n, pool, parity_filter=False)
+            if parity_census(s) == (n, n)
+        ]
+
+    def test_rejected_candidates_are_never_built(self, monkeypatch):
+        built = []
+
+        class Counted(IndexSelection):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(matrices_module, "IndexSelection", Counted)
+        assert sum(1 for _ in enumerate_selections(4, 7)) == len(built) == 1810
 
     def test_unfiltered_count(self):
         # C(4,2)^2 pairs
@@ -248,6 +260,24 @@ class TestCliVerify:
         assert captured.err.strip()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "canonical", "--max-n", "-1"], "--max-n must be >= 0"),
+        (["--suite", "oracle", "--max-index", "-1"], "--max-index must be >= 0"),
+        (["--suite", "oracle", "--max-n", "-2", "--max-index", "1"], "--max-n must be >= 0"),
+        (["--suite", "parity", "--n", "-1", "--pool", "3"], "--n must be >= 1"),
+        (["--suite", "parity", "--n", "0"], "--n must be >= 1"),
+        (["--suite", "parity", "--pool", "-1"], "--pool must be >= 0"),
+        (["--suite", "n2-exhaustive", "--pool", "-1"], "--pool must be >= 0"),
+    ], ids=["canonical-max-n", "oracle-max-index", "oracle-max-n", "parity-n-negative",
+            "parity-n-zero", "parity-pool", "n2-exhaustive-pool"])
+    def test_out_of_range_bound_is_usage_error(self, argv, message, tmp_path, capsys):
+        dump = tmp_path / "failures.json"
+        assert main(["verify", *argv, "--failure-dump", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not dump.exists()
+
     @pytest.mark.parametrize("argv, flags", [
         (["--suite", "paper-tables", "--max-n", "1"], ["--max-n"]),
         (["--suite", "canonical", "--max-n", "2", "--pool", "3", "--max-index", "1"],
@@ -315,6 +345,29 @@ class TestCliSweep:
         ]
         assert len(labelled) == 1 and target in labelled[0]
         assert labelled[0] in getattr(captured, stream)
+
+    @pytest.mark.parametrize("n, pool", [(2, -1), (3, 1), (1, 0)])
+    def test_pool_admitting_no_selection_is_usage_error(self, n, pool, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        code = main(["sweep", "--n", str(n), "--pool", str(pool), "--ledger", str(ledger)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "admits no" in captured.err and "appended" not in captured.out
+        assert not ledger.exists()
+
+    def test_empty_pool_leaves_existing_ledger_untouched(self, tmp_path, capsys):
+        # a torn final line would be cut off if the ledger were read
+        ledger = tmp_path / "s.jsonl"
+        ledger.write_bytes(b'{"key": "n=3;P=0')
+        assert main(["sweep", "--n", "3", "--pool", "1", "--ledger", str(ledger)]) == 2
+        assert ledger.read_bytes() == b'{"key": "n=3;P=0'
+
+    def test_finished_sweep_rerun_exits_zero(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "2", "--pool", "3", "--ledger", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("0 new records appended")
 
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "env.jsonl"
