@@ -15,7 +15,6 @@ from .classical import (
 )
 from .exactnum import (
     PiPair,
-    Rational,
     eigenvalue,
     harmonic,
     harmonic2,
@@ -31,7 +30,6 @@ from .matrices import (
     c_block,
     canonical_selection,
     det_exact,
-    glazman_symmetry_check,
     is_li_mod_dmin,
     parity_census,
     rank_exact,
@@ -50,7 +48,6 @@ from .sweep import RunConfig, SweepRecord, run_sweep
 
 __all__ = [
     "__version__",
-    "Rational",
     "PiPair",
     "harmonic",
     "harmonic2",
@@ -78,7 +75,6 @@ __all__ = [
     "det_exact",
     "is_li_mod_dmin",
     "parity_census",
-    "glazman_symmetry_check",
     "LogRat",
     "DivergentLimit",
     "apply_ell_n",

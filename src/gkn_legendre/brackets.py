@@ -23,7 +23,7 @@ from .exactnum import eigenvalue
 __all__ = ["bracket", "bracket_decomposed"]
 
 
-def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:
+def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
     """Exact value of [f, g]_n evaluated from -1 to 1."""
     if n < 1:
         raise ValueError("bracket: n must be >= 1")
@@ -33,7 +33,7 @@ def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:
 
 def bracket_decomposed(
     f: ClassicalFunction, g: ClassicalFunction, n: int
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int, int | Fraction]:
     """The two factors (eigen_gap, inner) whose product is bracket(f, g, n).
 
     Equal-index and P-P pairs return (0, 0): the bracket vanishes through the
@@ -43,15 +43,13 @@ def bracket_decomposed(
     if n < 1:
         raise ValueError("bracket_decomposed: n must be >= 1")
     j, k = f.index, g.index
-    if f.kind == "P" and g.kind == "P":
-        return Fraction(0), Fraction(0)
-    if f == g:
-        return Fraction(0), Fraction(0)
-    gap = Fraction(eigenvalue(j, n) - eigenvalue(k, n))
+    if (f.kind == "P" and g.kind == "P") or f == g:
+        return 0, 0
+    gap = eigenvalue(j, n) - eigenvalue(k, n)
     if f.kind == "P" and g.kind == "Q":
-        inner = inner_pq(j, k) if j != k else Fraction(0)
+        inner = inner_pq(j, k) if j != k else 0
     elif f.kind == "Q" and g.kind == "Q":
         inner = inner_qq(j, k)
     else:  # Q, P: the inner product is symmetric, <Q_j, P_k> = <P_k, Q_j>
-        inner = inner_pq(k, j) if j != k else Fraction(0)
+        inner = inner_pq(k, j) if j != k else 0
     return gap, inner

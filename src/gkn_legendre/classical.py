@@ -7,7 +7,6 @@ recurrence, so the pair is closed under it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,14 +27,16 @@ __all__ = [
 class Poly:
     """Univariate polynomial with exact rational coefficients, ascending degree.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the trailing
+    Coefficients follow the package's number rule: each is an ``int`` until a
+    division makes it a ``Fraction``, and none is ever coerced.  The zero
+    polynomial has an empty coefficient tuple; otherwise the trailing
     coefficient is nonzero.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -75,14 +76,14 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly([c * Fraction(other) for c in self.coeffs])
+        return Poly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -100,8 +101,7 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        x = Fraction(x)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -110,7 +110,6 @@ class Poly:
         """Multiplicity of (x - r) in self; 0 for the zero polynomial."""
         if not self.coeffs:
             return 0
-        r = Fraction(r)
         p, mult = self, 0
         while p(r) == 0:
             p = p.deflate(r)
@@ -119,9 +118,8 @@ class Poly:
 
     def deflate(self, r) -> "Poly":
         """Exact synthetic division by (x - r); requires self(r) == 0."""
-        r = Fraction(r)
         out = []
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * r + c
             out.append(acc)
@@ -199,7 +197,6 @@ class QRepresentation:
         return s
 
 
-_table_lock = threading.Lock()
 _p_table: list[Poly] = [Poly.ONE, Poly.X]
 # poly parts V_k of Q_k; V_0 = 0, V_1 = 1 seed Q_1 = x*L - 1
 _v_table: list[Poly] = [Poly.ZERO, Poly.ONE]
@@ -216,42 +213,40 @@ def legendre_p(k: int) -> Poly:
     """Exact coefficients of the Legendre polynomial P_k (P_k(1) = 1)."""
     if k < 0:
         raise ValueError("legendre_p: k must be >= 0")
-    with _table_lock:
-        _extend(_p_table, k)
-        return _p_table[k]
+    _extend(_p_table, k)
+    return _p_table[k]
 
 
 def legendre_q(k: int) -> QRepresentation:
     """Exact representation of the Legendre function of the second kind Q_k."""
     if k < 0:
         raise ValueError("legendre_q: k must be >= 0")
-    with _table_lock:
-        _extend(_p_table, k)
-        _extend(_v_table, k)
-        return QRepresentation(_p_table[k], _v_table[k])
+    _extend(_p_table, k)
+    _extend(_v_table, k)
+    return QRepresentation(_p_table[k], _v_table[k])
 
 
-def inner_pq(j: int, k: int) -> Fraction:
+def inner_pq(j: int, k: int) -> int | Fraction:
     """Integral of P_j * Q_k over (-1, 1), integer indices, j != k."""
     if j == k:
         raise ValueError("inner_pq: undefined for j == k")
     if (j + k) % 2 == 0:
-        return Fraction(0)
+        return 0
     return Fraction(-2, (k - j) * (j + k + 1))
 
 
-def inner_qq(j: int, k: int) -> Fraction:
+def inner_qq(j: int, k: int) -> int | Fraction:
     """Integral of Q_j * Q_k over (-1, 1), integer indices, j != k."""
     if j == k:
         raise ValueError("inner_qq: undefined for j == k; use q_norm_squared")
     if (j + k) % 2 == 1:
-        return Fraction(0)
-    return 2 * (harmonic(j) - harmonic(k)) / Fraction((k - j) * (j + k + 1))
+        return 0
+    return 2 * (harmonic(j) - harmonic(k)) / ((k - j) * (j + k + 1))
 
 
 def q_norm_squared(k: int) -> PiPair:
     """Integral of Q_k**2 over (-1, 1): (pi**2/3 + 4*H_k^(2)) / (2(2k+1))."""
     if k < 0:
         raise ValueError("q_norm_squared: k must be >= 0")
-    d = Fraction(2 * (2 * k + 1))
-    return PiPair(4 * harmonic2(k) / d, Fraction(1, 3) / d)
+    d = 2 * (2 * k + 1)
+    return PiPair(4 * harmonic2(k) / d, Fraction(1, 3 * d))

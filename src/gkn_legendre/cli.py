@@ -107,6 +107,8 @@ def cmd_matrix(args) -> int:
             "col_labels": [str(f) for f in sel.labels[r:]],
             "entries": as_json["entries"],
         }
+    if not m.entries or not m.entries[0]:
+        raise CliError(f"the {args.block} block of {sel.key()} is empty")
     if args.format == "json":
         print(json.dumps(doc))
     elif args.format == "csv":
@@ -209,6 +211,8 @@ def cmd_qfun(args) -> int:
 
 
 def cmd_stirling(args) -> int:
+    if args.n < 0:
+        raise CliError("stirling: n must be >= 0")
     rows = [[legendre_stirling(n, k) for k in range(n + 1)] for n in range(args.n + 1)]
     if args.format == "json":
         print(json.dumps(rows))

@@ -1,23 +1,23 @@
 """Exact scalars and the combinatorial number sequences everything else consumes.
 
-The universal scalar is ``fractions.Fraction``: arbitrary precision, always
-reduced, denominator positive.  Nothing in this package ever rounds.
+The number rule: a value is an ``int`` until a division makes it a
+``fractions.Fraction``.  Python's ``int``/``Fraction`` tower is exact (a
+``Fraction`` is always reduced, with a positive denominator, and an ``int``
+has ``.numerator`` and ``.denominator`` too), so nothing coerces a value that
+is already exact, and nothing in this package ever rounds.  A division of two
+``int``s is written ``Fraction(a, b)``, never ``a / b``, which would give a
+``float``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "PiPair",
     "rational_str",
-    "parse_rational",
     "harmonic",
     "harmonic2",
     "eigenvalue",
@@ -26,30 +26,24 @@ __all__ = [
 ]
 
 
-def rational_str(q: Fraction) -> str:
+def rational_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
 class PiPair:
     """A value of the form rat + pi2 * pi**2, held exactly."""
 
-    rat: Fraction
-    pi2: Fraction
+    rat: int | Fraction
+    pi2: int | Fraction
 
     def __add__(self, other: "PiPair") -> "PiPair":
         return PiPair(self.rat + other.rat, self.pi2 + other.pi2)
 
     def scale(self, c) -> "PiPair":
-        c = Fraction(c)
         return PiPair(self.rat * c, self.pi2 * c)
 
     def to_float(self) -> float:
@@ -59,9 +53,7 @@ class PiPair:
         return {"rat": rational_str(self.rat), "pi2": rational_str(self.pi2)}
 
 
-# Memo tables.  Guarded by a lock so shared use across threads stays
-# observationally pure; entries are immutable once written.
-_memo_lock = threading.Lock()
+# Memo tables; entries are immutable once written.
 _harmonic: list[Fraction] = [Fraction(0)]
 _harmonic2: list[Fraction] = [Fraction(0)]
 _ls_rows: list[list[int]] = [[1]]
@@ -71,22 +63,20 @@ def harmonic(k: int) -> Fraction:
     """H_k = sum_{i=1..k} 1/i, with H_0 = 0."""
     if k < 0:
         raise ValueError("harmonic: k must be >= 0")
-    with _memo_lock:
-        while len(_harmonic) <= k:
-            i = len(_harmonic)
-            _harmonic.append(_harmonic[-1] + Fraction(1, i))
-        return _harmonic[k]
+    while len(_harmonic) <= k:
+        i = len(_harmonic)
+        _harmonic.append(_harmonic[-1] + Fraction(1, i))
+    return _harmonic[k]
 
 
 def harmonic2(k: int) -> Fraction:
     """H_k^(2) = sum_{i=1..k} 1/i**2, with H_0^(2) = 0."""
     if k < 0:
         raise ValueError("harmonic2: k must be >= 0")
-    with _memo_lock:
-        while len(_harmonic2) <= k:
-            i = len(_harmonic2)
-            _harmonic2.append(_harmonic2[-1] + Fraction(1, i * i))
-        return _harmonic2[k]
+    while len(_harmonic2) <= k:
+        i = len(_harmonic2)
+        _harmonic2.append(_harmonic2[-1] + Fraction(1, i * i))
+    return _harmonic2[k]
 
 
 def eigenvalue(k: int, n: int) -> int:
@@ -104,16 +94,15 @@ def legendre_stirling(n: int, k: int) -> int:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"legendre_stirling: need 0 <= k <= n, got ({n}, {k})")
-    with _memo_lock:
-        while len(_ls_rows) <= n:
-            prev = _ls_rows[-1]
-            m = len(_ls_rows)
-            row = [0] * (m + 1)
-            for j in range(1, m + 1):
-                above = prev[j] if j < len(prev) else 0
-                row[j] = prev[j - 1] + j * (j + 1) * above
-            _ls_rows.append(row)
-        return _ls_rows[n][k]
+    while len(_ls_rows) <= n:
+        prev = _ls_rows[-1]
+        m = len(_ls_rows)
+        row = [0] * (m + 1)
+        for j in range(1, m + 1):
+            above = prev[j] if j < len(prev) else 0
+            row[j] = prev[j - 1] + j * (j + 1) * above
+        _ls_rows.append(row)
+    return _ls_rows[n][k]
 
 
 def laguerre_ld_coefficient(j: int, n: int, k) -> Fraction:
@@ -123,8 +112,8 @@ def laguerre_ld_coefficient(j: int, n: int, k) -> Fraction:
     """
     if j < 0 or n < 0 or j > n:
         raise ValueError(f"laguerre_ld_coefficient: need 0 <= j <= n, got ({j}, {n})")
-    k = Fraction(k)
-    total = Fraction(0)
+    k = Fraction(k)  # k may be CLI text such as "1/2"
+    total = 0
     for i in range(j + 1):
         sign = -1 if (i + j) % 2 else 1
         total += sign * math.comb(j, i) * (k + i) ** n

@@ -30,7 +30,6 @@ __all__ = [
     "is_li_mod_dmin",
     "parity_census",
     "enumerate_selections",
-    "glazman_symmetry_check",
 ]
 
 
@@ -78,7 +77,7 @@ def canonical_selection(n: int) -> IndexSelection:
 
 @dataclass(frozen=True)
 class BracketMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
     labels: tuple[ClassicalFunction, ...]
     power: int
 
@@ -114,31 +113,30 @@ def build_matrix(sel: IndexSelection) -> BracketMatrix:
     return BracketMatrix(entries, labels, sel.power)
 
 
-def b_block(sel: IndexSelection) -> list[list[Fraction]]:
+def b_block(sel: IndexSelection) -> list[list[int | Fraction]]:
     """The P-vs-Q (upper right) block."""
     labels, r = sel.labels, len(sel.p_indices)
     ps, qs = labels[:r], labels[r:]
     return [[bracket(p, q, sel.power) for q in qs] for p in ps]
 
 
-def c_block(sel: IndexSelection) -> list[list[Fraction]]:
+def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
     """The Q-vs-Q (lower right) block."""
     qs = sel.labels[len(sel.p_indices) :]
     return [[bracket(a, b, sel.power) for b in qs] for a in qs]
 
 
-def _bareiss(matrix) -> tuple[int, Fraction]:
+def _bareiss(matrix) -> tuple[int, int | Fraction]:
     """(rank, det) by one pass of fraction-free elimination over the integers.
 
-    Each row is first scaled to integers by the lcm of its denominators; the
-    product of those scales divides the determinant back out.  The
-    determinant is 0 unless the matrix is square of full rank, where it is
-    the last pivot up to the sign of the row swaps.  The empty matrix has
-    rank 0 and determinant 1.
+    Entries are ``int``s or ``Fraction``s.  Each row is first scaled to
+    integers by the lcm of its denominators; the product of those scales
+    divides the determinant back out.  The determinant is 0 unless the matrix
+    is square of full rank, where it is the last pivot up to the sign of the
+    row swaps.  The empty matrix has rank 0 and determinant 1.
     """
     m, scale = [], 1
     for row in matrix:
-        row = [Fraction(x) for x in row]
         mult = math.lcm(*(x.denominator for x in row))
         scale *= mult
         m.append([x.numerator * (mult // x.denominator) for x in row])
@@ -163,7 +161,7 @@ def _bareiss(matrix) -> tuple[int, Fraction]:
             row[col] = 0  # never read again; frees the big entry
         prev = pivot
         rank += 1
-    det = Fraction(sign * prev, scale) if rank == nrows == ncols else Fraction(0)
+    det = Fraction(sign * prev, scale) if rank == nrows == ncols else 0
     return rank, det
 
 
@@ -172,7 +170,7 @@ def rank_exact(matrix) -> int:
     return _bareiss(matrix)[0]
 
 
-def det_exact(matrix) -> Fraction:
+def det_exact(matrix) -> int | Fraction:
     """Exact determinant of a square rational matrix."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
@@ -213,13 +211,3 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
         for q in combinations(pool, n):
             if not parity_filter or _census(p + q) == (n, n):
                 yield IndexSelection(p, q, n)
-
-
-def glazman_symmetry_check(functions, n: int) -> bool:
-    """True iff all pairwise brackets among the proposed GKN set vanish."""
-    fs = list(functions)
-    for i, f in enumerate(fs):
-        for g in fs[i + 1 :]:
-            if bracket(f, g, n) != 0:
-                return False
-    return True

@@ -265,7 +265,8 @@ def endpoint_limit(f: LogRat, at: str) -> Fraction:
             raise DivergentLimit(at, f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}")
     # canonical form: a denominator factor vanishing at the endpoint would now
     # divide all three numerators, so it is gone and the rest is 2**(a+b) there
-    return f.nums[0](1 if at == "plus_one" else -1) / 2 ** (f.pow_one_minus + f.pow_one_plus)
+    value = f.nums[0](1 if at == "plus_one" else -1)
+    return Fraction(value, 2 ** (f.pow_one_minus + f.pow_one_plus))
 
 
 def bracket_via_oracle(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:

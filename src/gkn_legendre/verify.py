@@ -139,7 +139,7 @@ def suite_paper_tables() -> list[CheckResult]:
 def entry_digits(matrix) -> int:
     """Largest decimal magnitude among the entries (numerator digits)."""
     return max(
-        (len(str(abs(Fraction(x).numerator))) for row in matrix for x in row if x),
+        (len(str(abs(x.numerator))) for row in matrix for x in row if x),
         default=1,
     )
 

@@ -1,23 +1,24 @@
 """Property tests of the exact kernels.
 
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
-elimination over ``Fraction`` written here, on small random rational
-matrices, and the structural identities of the bracket matrices are checked
-on random r = s = n selections, with the sign law of the parity blocks of B
-on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
+elimination over ``Fraction`` written here, on small random matrices of
+``int``s and ``Fraction``s, and the structural identities of the bracket
+matrices are checked on random r = s = n selections, with the sign law of
+the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
 construction, with an equality that agrees with cross-multiplication, and
 its boundary form and brackets are checked to be antisymmetric on random
-pairs of classical functions.
+pairs of classical functions.  Every exact value the engine returns is an
+``int`` or a ``Fraction``, never a ``float``.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkn_legendre.brackets import bracket
-from gkn_legendre.classical import ClassicalFunction, Poly
+from gkn_legendre.brackets import bracket, bracket_decomposed
+from gkn_legendre.classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from gkn_legendre.matrices import (
     IndexSelection,
     b_block,
@@ -68,13 +69,13 @@ rationals = st.builds(
 
 @st.composite
 def matrices(draw, square=False):
-    """Small rational matrices, some with zero rows, zero columns or a
-    repeated row."""
+    """Small matrices of ints and Fractions, some with zero rows, zero
+    columns or a repeated row."""
     nrows = draw(st.integers(0, 5))
     ncols = nrows if square else draw(st.integers(0, 5))
     if nrows == 0:
         return []
-    m = [[draw(rationals) for _ in range(ncols)] for _ in range(nrows)]
+    m = [[draw(st.integers(-9, 9) | rationals) for _ in range(ncols)] for _ in range(nrows)]
     edit = draw(st.sampled_from(["none", "zero-row", "zero-col", "repeat-row"]))
     i = draw(st.integers(0, nrows - 1))
     j = draw(st.integers(0, nrows - 1))
@@ -88,6 +89,10 @@ def matrices(draw, square=False):
     return m
 
 
+def is_exact(value):
+    return type(value) in (int, Fraction)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rank_matches_reference(m):
@@ -97,7 +102,9 @@ def test_rank_matches_reference(m):
 @settings(max_examples=300, deadline=None)
 @given(matrices(square=True))
 def test_det_matches_reference(m):
-    assert det_exact(m) == reference_rank_det(m)[1]
+    det = det_exact(m)
+    assert det == reference_rank_det(m)[1]
+    assert is_exact(det)
 
 
 def test_empty_matrix():
@@ -228,3 +235,26 @@ def test_oracle_is_antisymmetric(f, g, n):
     lf, lg = classical_to_lograt(f), classical_to_lograt(g)
     assert sesquilinear_at(lf, lg, n) == -sesquilinear_at(lg, lf, n)
     assert bracket_via_oracle(f, g, n) == -bracket(g, f, n)
+
+
+pq_functions = st.builds(ClassicalFunction, st.sampled_from("PQ"), st.integers(0, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@example(ClassicalFunction("P", 0), ClassicalFunction("Q", 1), 1)  # all-integer form
+@given(pq_functions, pq_functions, st.integers(1, 3))
+def test_values_stay_exact(f, g, n):
+    """Brackets, oracle limits and classical coefficients are ints until a
+    division makes them Fractions; none is a float."""
+    form = sesquilinear_at(classical_to_lograt(f), classical_to_lograt(g), n)
+    values = [
+        bracket(f, g, n),
+        *bracket_decomposed(f, g, n),
+        bracket_via_oracle(f, g, n),
+        endpoint_limit(form, "plus_one"),
+        endpoint_limit(form, "minus_one"),
+    ]
+    for h in (f, g):
+        q = legendre_q(h.index)
+        values += legendre_p(h.index).coeffs + q.log_coeff.coeffs + q.poly_part.coeffs
+    assert all(map(is_exact, values)), values

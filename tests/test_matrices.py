@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.matrices import (
     IndexSelection,
     b_block,
@@ -11,7 +10,6 @@ from gkn_legendre.matrices import (
     c_block,
     canonical_selection,
     det_exact,
-    glazman_symmetry_check,
     is_li_mod_dmin,
     parity_census,
     rank_exact,
@@ -145,21 +143,6 @@ class TestIndependenceCertificate:
         assert not is_li_mod_dmin(IndexSelection((1, 3), (1, 3), 2))
         # census (4, 0)
         assert not is_li_mod_dmin(IndexSelection((0, 2), (0, 2), 2))
-
-
-class TestGlazman:
-    def test_all_p_selection_true(self):
-        for n in (1, 3, 5):
-            ps = [ClassicalFunction("P", i) for i in (0, 1, 4, 7)]
-            assert glazman_symmetry_check(ps, n)
-
-    def test_q_pair_fails(self):
-        qs = [ClassicalFunction("Q", 0), ClassicalFunction("Q", 2)]
-        assert not glazman_symmetry_check(qs, 3)
-
-    def test_mixed_pq_fails(self):
-        fs = [ClassicalFunction("P", 0), ClassicalFunction("Q", 1)]
-        assert not glazman_symmetry_check(fs, 1)
 
 
 class TestSerializationFormats:

@@ -236,6 +236,23 @@ class TestCliMatrix:
     def test_missing_selection_is_usage_error(self, capsys):
         assert main(["matrix", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize(
+        "selection, block",
+        [
+            pytest.param(["--p=", "--q="], "M", id="M-no-P-no-Q"),
+            pytest.param(["--p=0", "--q="], "B", id="B-no-Q"),
+            pytest.param(["--p=", "--q=1"], "B", id="B-no-P"),
+            pytest.param(["--p=0", "--q="], "C", id="C-no-Q"),
+        ],
+    )
+    def test_empty_block_is_usage_error(self, selection, block, fmt, capsys):
+        argv = ["matrix", "--n", "2", *selection, "--block", block, "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the {block} block" in captured.err and "is empty" in captured.err
+
 
 class TestCliVerify:
     def test_paper_tables_suite(self, capsys):
@@ -386,6 +403,13 @@ class TestCliSmallVerbs:
         assert main(["stirling", "3"]) == 0
         out = capsys.readouterr().out
         assert "n=3: 0 4 8 1" in out
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_stirling_negative_is_usage_error(self, fmt, capsys):
+        assert main(["stirling", "-1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be >= 0" in captured.err
 
     def test_laguerre_coeff(self, capsys):
         assert main(["laguerre-coeff", "0", "3", "2"]) == 0
