@@ -8,6 +8,8 @@ mix a rational with a pi^2 term that is carried exactly.
 Run:  python3 demos/sequences_and_norms.py
 """
 
+from fractions import Fraction
+
 from gkn_legendre import (
     harmonic,
     harmonic2,
@@ -49,7 +51,7 @@ def main():
     for j in range(4):
         row = [laguerre_ld_coefficient(j, 3, k) for k in range(5)]
         print(f"  j={j}: " + "  ".join(str(v) for v in row))
-    print(f"  b_1(2, 1/2) = {laguerre_ld_coefficient(1, 2, '1/2')}")
+    print(f"  b_1(2, 1/2) = {laguerre_ld_coefficient(1, 2, Fraction(1, 2))}")
 
 
 if __name__ == "__main__":

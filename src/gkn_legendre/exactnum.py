@@ -27,7 +27,11 @@ __all__ = [
 
 
 def rational_str(q: int | Fraction) -> str:
-    """Serialize a rational as "p/q", or just "p" when the denominator is 1."""
+    """Serialize a rational as "p/q", or just "p" when the denominator is 1.
+
+    Every output goes through here, so anything inexact is a ``TypeError``."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"rational_str: expected int or Fraction, got {type(q).__name__}")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -105,16 +109,15 @@ def legendre_stirling(n: int, k: int) -> int:
     return _ls_rows[n][k]
 
 
-def laguerre_ld_coefficient(j: int, n: int, k) -> Fraction:
+def laguerre_ld_coefficient(j: int, n: int, k: int | Fraction) -> Fraction:
     """Coefficient b_j(n,k) of the Laguerre left-definite inner product.
 
     b_j(n,k) = sum_{i=0..j} (-1)**(i+j)/j! * C(j,i) * (k+i)**n.
     """
     if j < 0 or n < 0 or j > n:
         raise ValueError(f"laguerre_ld_coefficient: need 0 <= j <= n, got ({j}, {n})")
-    k = Fraction(k)  # k may be CLI text such as "1/2"
     total = 0
     for i in range(j + 1):
         sign = -1 if (i + j) % 2 else 1
         total += sign * math.comb(j, i) * (k + i) ** n
-    return total / math.factorial(j)
+    return Fraction(total, math.factorial(j))

@@ -23,7 +23,7 @@ from . import __version__
 from .exactnum import rational_str
 from .matrices import IndexSelection, b_block, build_matrix, det_exact, enumerate_selections, rank_exact
 
-__all__ = ["RunConfig", "SweepRecord", "enumerate_selections", "evaluate_selection", "run_sweep"]
+__all__ = ["RunConfig", "SweepRecord", "evaluate_selection", "run_sweep"]
 
 LEDGER_ENV_VAR = "GKN_LEDGER"
 

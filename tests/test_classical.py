@@ -46,6 +46,11 @@ class TestPoly:
     def test_json(self):
         assert Poly([Fraction(-1, 2), 0, Fraction(3, 2)]).to_json() == ["-1/2", "0", "3/2"]
 
+    def test_json_refuses_a_float_coefficient(self):
+        # Poly itself does not check (it is the oracle's hot path); its output does
+        with pytest.raises(TypeError, match="float"):
+            Poly([0.5]).to_json()
+
 
 class TestLegendreP:
     def test_first_few(self):

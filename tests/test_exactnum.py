@@ -103,6 +103,9 @@ class TestLaguerreCoefficient:
         assert laguerre_ld_coefficient(1, 2, 1) == 3  # (k+1)^n - k^n = 4 - 1
         assert laguerre_ld_coefficient(2, 2, 0) == 1
 
+    def test_integer_k_gives_an_exact_value(self):
+        assert not isinstance(laguerre_ld_coefficient(1, 2, 1), float)
+
     @pytest.mark.parametrize("j,n", [(0, 4), (1, 3), (2, 5), (3, 3), (4, 6)])
     def test_brute_force_resummation(self, j, n):
         # independent summation order: iterate i downward and divide late
@@ -141,6 +144,10 @@ class TestSerialization:
         assert rational_str(Fraction(-8)) == "-8"
         assert rational_str(Fraction(0)) == "0"
         assert rational_str(-8) == "-8"
+
+    def test_inexact_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match="float"):
+            rational_str(0.5)
 
     def test_pipair(self):
         p = PiPair(Fraction(2, 3), Fraction(1, 18))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gkn_legendre.cli as cli_module
 import gkn_legendre.matrices as matrices_module
 import gkn_legendre.sweep as sweep_module
 from gkn_legendre.cli import main
@@ -14,6 +15,7 @@ from gkn_legendre.sweep import (
     read_ledger,
     run_sweep,
 )
+from gkn_legendre.verify import CheckResult
 
 
 class TestEnumeration:
@@ -212,6 +214,18 @@ class TestCliBracket:
     def test_bad_power_is_usage_error(self, capsys):
         assert main(["bracket", "P", "0", "Q", "1", "--n", "0"]) == 2
 
+    def test_oracle_mismatch_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli_module, "bracket_via_oracle", lambda f, g, n: cli_module.bracket(f, g, n) + 1
+        )
+        argv = ["bracket", "P", "0", "Q", "1", "--n", "3", "--check-oracle", "true"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle mismatch" in captured.err
+        assert main(argv + ["-v"]) == 1
+        assert "oracle    = 9 (MISMATCH)" in capsys.readouterr().out
+
 
 class TestCliMatrix:
     def test_canonical_json(self, capsys):
@@ -276,6 +290,19 @@ class TestCliVerify:
         assert "PASS" not in captured.out
         assert captured.err.strip()
 
+
+    def test_failure_dump_lists_every_result(self, tmp_path, capsys, monkeypatch):
+        results = [CheckResult("a", True, "fine", 0.5), CheckResult("b", False, "bad", 1.25)]
+        monkeypatch.setattr(cli_module, "run_suite", lambda suite, **kwargs: results)
+        dump = tmp_path / "failures.json"
+        assert main(["verify", "--suite", "paper-tables", "--failure-dump", str(dump)]) == 1
+        assert f"failure report written to {dump}" in capsys.readouterr().err
+        doc = json.loads(dump.read_text(encoding="utf-8"))
+        assert doc == [
+            {"name": "a", "ok": True, "detail": "fine", "elapsed": 0.5},
+            {"name": "b", "ok": False, "detail": "bad", "elapsed": 1.25},
+        ]
+        assert [list(entry) for entry in doc] == [["name", "ok", "detail", "elapsed"]] * 2
 
     @pytest.mark.parametrize("argv, message", [
         (["--suite", "canonical", "--max-n", "-1"], "--max-n must be >= 0"),
@@ -386,6 +413,17 @@ class TestCliSweep:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("0 new records appended")
 
+    def test_unwritable_ledger_is_io_error(self, tmp_path, capsys):
+        # a path below a regular file cannot be created, even by root
+        blocker = tmp_path / "regular"
+        blocker.write_bytes(b"not a directory\n")
+        code = main(["sweep", "--n", "2", "--pool", "3", "--ledger", str(blocker / "ledger.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "ledger I/O error" in captured.err
+        assert captured.out == ""
+        assert blocker.read_bytes() == b"not a directory\n"
+
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "env.jsonl"
         monkeypatch.setenv(LEDGER_ENV_VAR, str(target))
@@ -418,6 +456,13 @@ class TestCliSmallVerbs:
     def test_laguerre_coeff_rational_k(self, capsys):
         assert main(["laguerre-coeff", "1", "2", "1/2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("k", ["1/0", "abc"])
+    def test_laguerre_coeff_bad_k_is_usage_error(self, k, capsys):
+        assert main(["laguerre-coeff", "1", "2", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument k: expected a rational" in captured.err
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
