@@ -9,7 +9,7 @@ closed-form engine is the package's keystone check.
 Run:  python3 demos/symbolic_oracle.py
 """
 
-from gkn_legendre import ClassicalFunction, bracket
+from gkn_legendre import ClassicalFunction, Poly, bracket
 from gkn_legendre.oracle import (
     DivergentLimit,
     LogRat,
@@ -44,7 +44,7 @@ def main():
     print()
     print("Endpoint limits decide everything")
     print("----------------------------------")
-    lam = LogRat.lam()
+    lam = LogRat((Poly.ZERO, Poly.ONE))
     try:
         endpoint_limit(lam, "plus_one")
     except DivergentLimit as exc:

@@ -47,9 +47,9 @@ def bracket_decomposed(
         return 0, 0
     gap = eigenvalue(j, n) - eigenvalue(k, n)
     if f.kind == "P" and g.kind == "Q":
-        inner = inner_pq(j, k) if j != k else 0
+        inner = inner_pq(j, k)
     elif f.kind == "Q" and g.kind == "Q":
         inner = inner_qq(j, k)
     else:  # Q, P: the inner product is symmetric, <Q_j, P_k> = <P_k, Q_j>
-        inner = inner_pq(k, j) if j != k else 0
+        inner = inner_pq(k, j)
     return gap, inner

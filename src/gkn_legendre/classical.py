@@ -227,9 +227,10 @@ def legendre_q(k: int) -> QRepresentation:
 
 
 def inner_pq(j: int, k: int) -> int | Fraction:
-    """Integral of P_j * Q_k over (-1, 1), integer indices, j != k."""
-    if j == k:
-        raise ValueError("inner_pq: undefined for j == k")
+    """Integral of P_j * Q_k over (-1, 1), integer indices.
+
+    P_j * Q_k is odd when j + k is even (j == k included), so that integral is 0.
+    """
     if (j + k) % 2 == 0:
         return 0
     return Fraction(-2, (k - j) * (j + k + 1))

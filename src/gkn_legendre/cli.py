@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -287,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stirling)
 
     p = sub.add_parser("laguerre-coeff", help="Laguerre left-definite coefficient b_j(n,k)")
+    # read a dash followed by a digit (-3/4 too, not only -3 or -0.75) as a
+    # negative number, as argparse does from Python 3.13 on
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("j", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=_parse_rational)

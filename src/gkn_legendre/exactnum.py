@@ -44,12 +44,6 @@ class PiPair:
     rat: int | Fraction
     pi2: int | Fraction
 
-    def __add__(self, other: "PiPair") -> "PiPair":
-        return PiPair(self.rat + other.rat, self.pi2 + other.pi2)
-
-    def scale(self, c) -> "PiPair":
-        return PiPair(self.rat * c, self.pi2 * c)
-
     def to_float(self) -> float:
         return float(self.rat) + float(self.pi2) * math.pi**2
 

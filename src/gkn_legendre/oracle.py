@@ -18,6 +18,11 @@ that endpoint, so structural equality is exact.  Endpoint limits are decided
 exactly: each power of L either has a pole (divergent), a plain value, or -
 for the log-bearing powers - vanishes to positive order, which kills the
 logarithm.
+
+The boundary form, the Lagrangian expansion of the operator power and the
+endpoint conditions read the same chains, built by ``_lagrangian_chains``:
+f, ..., f^(n) and, for each Lagrangian coefficient a_k = LS(n,k) (1-x**2)**k,
+(a_k f^(k))^(i) for i < k.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
-from .exactnum import legendre_stirling, rational_str
+from .exactnum import legendre_stirling
 
 __all__ = [
     "LogRat",
@@ -89,14 +94,6 @@ class LogRat:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "pow_one_minus", a)
         object.__setattr__(self, "pow_one_plus", b)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LogRat":
-        return LogRat((p,))
-
-    @staticmethod
-    def lam() -> "LogRat":
-        return LogRat((Poly.ZERO, Poly.ONE))
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -181,7 +178,7 @@ class LogRat:
 def classical_to_lograt(f: ClassicalFunction) -> LogRat:
     """P_k as a polynomial; Q_k as P_k * L - poly_part."""
     if f.kind == "P":
-        return LogRat.from_poly(legendre_p(f.index))
+        return LogRat((legendre_p(f.index),))
     q = legendre_q(f.index)
     return LogRat((-q.poly_part, q.log_coeff))
 
@@ -196,8 +193,7 @@ def _derivatives(f: LogRat, count: int) -> list[LogRat]:
 
 def apply_ell(f: LogRat) -> LogRat:
     """One application of f -> -((1-x**2) f')'."""
-    w = LogRat.from_poly(_ONE_MINUS_X2)
-    return -((w * f.derivative()).derivative())
+    return -((f.derivative() * _ONE_MINUS_X2).derivative())
 
 
 def apply_ell_n(f: LogRat, n: int) -> LogRat:
@@ -209,22 +205,26 @@ def apply_ell_n(f: LogRat, n: int) -> LogRat:
     return f
 
 
-def lagrangian_coefficients(n: int) -> list[tuple[int, LogRat]]:
+def lagrangian_coefficients(n: int) -> list[tuple[int, Poly]]:
     """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n."""
     if n < 1:
         raise ValueError("lagrangian_coefficients: n must be >= 1")
-    return [
-        (k, LogRat.from_poly(legendre_stirling(n, k) * _ONE_MINUS_X2**k))
-        for k in range(1, n + 1)
-    ]
+    return [(k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1)]
+
+
+def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRat]]]:
+    """[f, ..., f^(n)] and, for k = 1..n, the chain [(a_k f^(k))^(i) for i < k];
+    exactly n(n+1)/2 calls to ``derivative``."""
+    derivs = _derivatives(f, n)
+    chains = [_derivatives(derivs[k] * a_k, k - 1) for k, a_k in lagrangian_coefficients(n)]
+    return derivs, chains
 
 
 def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     """The 2n-th order expansion sum_k (-1)**k (a_k f^(k))^(k)."""
     total = LogRat()
-    derivs = _derivatives(f, n)
-    for k, a_k in lagrangian_coefficients(n):
-        term = _derivatives(a_k * derivs[k], k)[-1]
+    for k, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
+        term = chain[-1].derivative()
         total = total + (term if k % 2 == 0 else -term)
     return total
 
@@ -237,15 +237,10 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     with a_k the Lagrangian coefficients.  Coefficients are real, so
     conjugation is the identity.
     """
-    if n < 1:
-        raise ValueError("sesquilinear_at: n must be >= 1")
-    fder = _derivatives(f, n)
-    gder = _derivatives(g, n)
+    fder, fchains = _lagrangian_chains(f, n)
+    gder, gchains = _lagrangian_chains(g, n)
     total = LogRat()
-    for k, a_k in lagrangian_coefficients(n):
-        # chains (a_k g^(k))^(i) and (a_k f^(k))^(i) for i = 0..k-1
-        gchain = _derivatives(a_k * gder[k], k - 1)
-        fchain = _derivatives(a_k * fder[k], k - 1)
+    for k, (fchain, gchain) in enumerate(zip(fchains, gchains), 1):
         for j in range(1, k + 1):
             term = gchain[k - j] * fder[j - 1] - fchain[k - j] * gder[j - 1]
             total = total + (term if (k + j) % 2 == 0 else -term)
@@ -284,17 +279,6 @@ class FnConditionReport:
     left_limit: Fraction | None = None
     right_limit: Fraction | None = None
 
-    def to_json(self) -> dict:
-        fmt = lambda v: rational_str(v) if v is not None else None
-        return {
-            "j": self.j,
-            "left_limit_exists": self.left_limit_exists,
-            "right_limit_exists": self.right_limit_exists,
-            "difference_zero": self.difference_zero,
-            "left_limit": fmt(self.left_limit),
-            "right_limit": fmt(self.right_limit),
-        }
-
 
 def fn_condition_check(f: LogRat, n: int) -> list[FnConditionReport]:
     """Evaluate the boundary-domain conditions (a_j f^(j))^(j-1) at both ends.
@@ -302,20 +286,14 @@ def fn_condition_check(f: LogRat, n: int) -> list[FnConditionReport]:
     One report per j = 1..n; divergence is reported, never raised.
     """
     reports = []
-    derivs = _derivatives(f, n)
-    for j, a_j in lagrangian_coefficients(n):
-        expr = _derivatives(a_j * derivs[j], j - 1)[-1]
-        left = right = None
-        try:
-            left = endpoint_limit(expr, "minus_one")
-        except DivergentLimit:
-            pass
-        try:
-            right = endpoint_limit(expr, "plus_one")
-        except DivergentLimit:
-            pass
-        diff_zero = left is not None and right is not None and right - left == 0
-        reports.append(
-            FnConditionReport(j, left is not None, right is not None, diff_zero, left, right)
-        )
+    for j, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
+        limits = []
+        for at in ("minus_one", "plus_one"):
+            try:
+                limits.append(endpoint_limit(chain[-1], at))
+            except DivergentLimit:
+                limits.append(None)
+        left, right = limits
+        exist = left is not None, right is not None
+        reports.append(FnConditionReport(j, *exist, all(exist) and right - left == 0, left, right))
     return reports

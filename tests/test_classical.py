@@ -140,10 +140,28 @@ class TestInnerProducts:
                 )
 
     def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError):
-            inner_pq(3, 3)
+        # P_3 * Q_3 is odd, so its integral is 0; Q_2 * Q_2 needs q_norm_squared
+        assert inner_pq(3, 3) == 0
         with pytest.raises(ValueError):
             inner_qq(2, 2)
+
+    def test_pq_matches_quadrature(self):
+        # every pair with j, k <= 4, the vanishing j == k integrals included
+        mpmath = pytest.importorskip("mpmath")
+
+        def at(p, x):
+            return sum(mpmath.mpf(c.numerator) / c.denominator * x**i for i, c in enumerate(p.coeffs))
+
+        with mpmath.workdps(30):
+            for j in range(5):
+                for k in range(5):
+                    p, q = legendre_p(j), legendre_q(k)
+                    quad = mpmath.quad(
+                        lambda x: at(p, x) * (at(q.log_coeff, x) * mpmath.atanh(x) - at(q.poly_part, x)),
+                        [-1, 0, 1],
+                    )
+                    exact = Fraction(inner_pq(j, k))
+                    assert abs(quad - mpmath.mpf(exact.numerator) / exact.denominator) < 1e-20, (j, k)
 
 
 class TestQNorm:

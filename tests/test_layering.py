@@ -2,7 +2,9 @@
 
 ``matrices`` owns selections and the parity rule, so it depends on none of
 the modules built on it; ``verify`` reaches selections through ``matrices``
-and depends on neither ``sweep`` nor the CLI.
+and depends on neither ``sweep`` nor the CLI.  The ``oracle`` stays
+independent of the closed form: it imports none of ``brackets``,
+``matrices``, ``sweep``, ``verify`` or the CLI.
 """
 
 import ast
@@ -31,11 +33,13 @@ def package_imports(module: str) -> set[str]:
 def test_reader_sees_known_imports():
     assert {"matrices", "oracle"} <= package_imports("verify")
     assert {"matrices", "sweep", "verify"} <= package_imports("cli")
+    assert {"classical", "exactnum"} <= package_imports("oracle")
 
 
 @pytest.mark.parametrize("module, forbidden", [
     ("verify", {"sweep", "cli"}),
     ("matrices", {"sweep", "verify", "oracle", "cli"}),
-], ids=["verify", "matrices"])
+    ("oracle", {"brackets", "matrices", "sweep", "verify", "cli"}),
+], ids=["verify", "matrices", "oracle"])
 def test_module_does_not_import(module, forbidden):
     assert not package_imports(module) & forbidden

@@ -457,6 +457,11 @@ class TestCliSmallVerbs:
         assert main(["laguerre-coeff", "1", "2", "1/2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    @pytest.mark.parametrize("argv", [["-3/4"], ["--", "-3/4"]], ids=["bare", "after-dashes"])
+    def test_laguerre_coeff_negative_fraction_k(self, argv, capsys):
+        assert main(["laguerre-coeff", "2", "4", *argv]) == 0
+        assert capsys.readouterr().out.strip() == "11/8"
+
     @pytest.mark.parametrize("k", ["1/0", "abc"])
     def test_laguerre_coeff_bad_k_is_usage_error(self, k, capsys):
         assert main(["laguerre-coeff", "1", "2", k]) == 2
