@@ -2,22 +2,29 @@
 
 Everything here lives in the class of functions
 
-    (N0(x) + N1(x) * L(x) + N2(x) * L(x)**2) / ((1-x)**a * (1+x)**b),
+    (N0(x) + N1(x) * L(x) + N2(x) * L(x)**2) / (den * (1-x)**a * (1+x)**b),
 
-with L(x) = (1/2) ln((1+x)/(1-x)), polynomial numerators N0, N1, N2 and one
-denominator shared by all three.  The class contains every Q_k, is closed
-under d/dx (since L'(x) = 1/(1-x**2)), under application of the operator
-f -> -((1-x**2) f')', and under the double-sum boundary form.  The L**2
-power exists because products of two log-bearing functions genuinely occur
-inside the boundary form; its contribution must die at the endpoints, and a
-surviving L**2 term is flagged as divergence rather than dropped.
+with L(x) = (1/2) ln((1+x)/(1-x)), integer numerators N0, N1, N2 over one
+denominator shared by all three: a positive integer den and the (1 -+ x)
+powers.  The class contains every Q_k, is closed under d/dx (since
+L'(x) = 1/(1-x**2)), under application of the operator f -> -((1-x**2) f')',
+and under the double-sum boundary form.  The L**2 power exists because
+products of two log-bearing functions genuinely occur inside the boundary
+form; its contribution must die at the endpoints, and a surviving L**2 term
+is flagged as divergence rather than dropped.
 
 ``LogRat`` is the one function type, canonical by construction: its
-constructor cancels a (1 +- x) factor while all three numerators vanish at
-that endpoint, so structural equality is exact.  Endpoint limits are decided
-exactly: each power of L either has a pole (divergent), a plain value, or -
-for the log-bearing powers - vanishes to positive order, which kills the
-logarithm.
+constructor clears the denominators of ``Fraction`` coefficients into den,
+divides out the content den shares with the numerators, and cancels a
+(1 +- x) factor while all three numerators vanish at that endpoint, so
+structural equality is exact.  Under the package's number rule - a value
+is an ``int`` until a division makes it a ``Fraction`` - the arithmetic then
+never divides: every numerator coefficient is an ``int``.  The one division
+is an endpoint limit's value, N0(+-1) / (den * 2**(a+b)); ``str`` prints
+each N / den with the rational coefficients it stands for.  Endpoint limits
+are decided exactly: each power of L either has a pole (divergent), a plain
+value, or - for the log-bearing powers - vanishes to positive order, which
+kills the logarithm.
 
 The boundary form, the Lagrangian expansion of the operator power and the
 endpoint conditions read the same chains, built by ``_lagrangian_chains``:
@@ -29,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from .exactnum import legendre_stirling
@@ -66,22 +75,45 @@ class DivergentLimit(ValueError):
 
 @dataclass(frozen=True)
 class LogRat:
-    """(N0 + N1 * L + N2 * L**2) / ((1-x)**pow_one_minus * (1+x)**pow_one_plus).
+    """(N0 + N1 * L + N2 * L**2) / (den * (1-x)**pow_one_minus * (1+x)**pow_one_plus).
 
     ``nums`` is padded with zeros to (N0, N1, N2).  Canonical by
-    construction: the numerators share no (1 -+ x) factor with the
-    denominator, and zero is stored over the denominator 1.
+    construction: every numerator coefficient is an ``int`` (a ``Fraction``
+    given to the constructor is cleared into ``den``), ``den`` shares no
+    factor with all of them, the numerators share no (1 -+ x) factor with
+    the denominator, and zero is stored as three zero numerators over 1.
     """
 
     nums: tuple[Poly, ...] = ()
     pow_one_minus: int = 0
     pow_one_plus: int = 0
+    den: int = 1
 
     def __post_init__(self):
         nums = tuple(self.nums) + (Poly.ZERO,) * (3 - len(self.nums))
         if len(nums) > 3:
             raise ValueError("LogRat: degree in L(x) exceeds 2")
-        a, b = self.pow_one_minus, self.pow_one_plus
+        a, b, den = self.pow_one_minus, self.pow_one_plus, self.den
+        if den < 1:
+            raise ValueError("LogRat: den must be >= 1")
+        # clear Fraction coefficients into den, once
+        fractional, scale = False, 1
+        for p in nums:
+            for c in p.coeffs:
+                if type(c) is not int:
+                    fractional, scale = True, lcm(scale, c.denominator)
+        if fractional:
+            nums = tuple(Poly([c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in nums)
+            den *= scale
+        # divide out the content shared with den; zero has none, so it ends over 1
+        if den != 1:
+            g = den
+            for p in nums:
+                if g != 1:
+                    g = gcd(g, *p.coeffs)
+            if g != 1:
+                nums = tuple(Poly([c // g for c in p.coeffs]) for p in nums)
+                den //= g
         if not any(nums):
             a = b = 0
         # cancel (1-x) factors: num = (1-x) q  <=>  num = -(x-1) q
@@ -94,29 +126,34 @@ class LogRat:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "pow_one_minus", a)
         object.__setattr__(self, "pow_one_plus", b)
+        object.__setattr__(self, "den", den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
 
     def term(self, m: int) -> "LogRat":
         """The coefficient of L**m, as a function of its own."""
-        return LogRat((self.nums[m],), self.pow_one_minus, self.pow_one_plus)
+        return LogRat((self.nums[m],), self.pow_one_minus, self.pow_one_plus, self.den)
 
-    def _lifted(self, a: int, b: int) -> tuple[Poly, ...]:
-        """The numerators over the denominator (1-x)**a (1+x)**b."""
+    def _lifted(self, a: int, b: int, den: int) -> tuple[Poly, ...]:
+        """The numerators over the denominator den (1-x)**a (1+x)**b."""
+        scale = den // self.den
         if (a, b) == (self.pow_one_minus, self.pow_one_plus):
-            return self.nums
+            return self.nums if scale == 1 else tuple(p * scale for p in self.nums)
         factor = _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (b - self.pow_one_plus)
+        if scale != 1:
+            factor = factor * scale
         return tuple(p * factor for p in self.nums)
 
     def __add__(self, other: "LogRat") -> "LogRat":
         a = max(self.pow_one_minus, other.pow_one_minus)
         b = max(self.pow_one_plus, other.pow_one_plus)
-        nums = zip(self._lifted(a, b), other._lifted(a, b))
-        return LogRat(tuple(p + q for p, q in nums), a, b)
+        den = lcm(self.den, other.den)
+        nums = zip(self._lifted(a, b, den), other._lifted(a, b, den))
+        return LogRat(tuple(p + q for p, q in nums), a, b, den)
 
     def __neg__(self) -> "LogRat":
-        return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus)
+        return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus, self.den)
 
     def __sub__(self, other: "LogRat") -> "LogRat":
         return self + (-other)
@@ -124,7 +161,7 @@ class LogRat:
     def __mul__(self, other) -> "LogRat":
         a, b = self.pow_one_minus, self.pow_one_plus
         if not isinstance(other, LogRat):
-            return LogRat(tuple(p * other for p in self.nums), a, b)
+            return LogRat(tuple(p * other if p else p for p in self.nums), a, b, self.den)
         nums = [Poly.ZERO] * 3
         for i, p in enumerate(self.nums):
             for j, q in enumerate(other.nums):
@@ -132,7 +169,7 @@ class LogRat:
                     if i + j > 2:
                         raise ValueError("product would exceed degree 2 in L(x)")
                     nums[i + j] = nums[i + j] + p * q
-        return LogRat(tuple(nums), a + other.pow_one_minus, b + other.pow_one_plus)
+        return LogRat(tuple(nums), a + other.pow_one_minus, b + other.pow_one_plus, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -141,12 +178,12 @@ class LogRat:
         # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2)
         a, b = self.pow_one_minus, self.pow_one_plus
         slope = Poly([a - b, a + b])
-        nxt = self.nums[1:] + (Poly.ZERO,)
+        carry = [(m + 1) * p if p else p for m, p in enumerate(self.nums[1:])] + [Poly.ZERO]
         nums = tuple(
-            p.derivative() * _ONE_MINUS_X2 + p * slope + (m + 1) * nxt[m]
-            for m, p in enumerate(self.nums)
+            p.derivative() * _ONE_MINUS_X2 + p * slope + c if p else c
+            for p, c in zip(self.nums, carry)
         )
-        return LogRat(nums, a + 1, b + 1)
+        return LogRat(nums, a + 1, b + 1, self.den)
 
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative
@@ -166,6 +203,8 @@ class LogRat:
                 # each power of L over its own reduced denominator
                 t = self.term(m)
                 r, a, b = t.nums[0], t.pow_one_minus, t.pow_one_plus
+                if t.den != 1:
+                    r = Poly([Fraction(c, t.den) for c in r.coeffs])
                 den = "".join(
                     f"({f})" + (f"^{e}" if e > 1 else "") for f, e in (("1-x", a), ("1+x", b)) if e
                 )
@@ -205,11 +244,12 @@ def apply_ell_n(f: LogRat, n: int) -> LogRat:
     return f
 
 
-def lagrangian_coefficients(n: int) -> list[tuple[int, Poly]]:
-    """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n."""
+@cache
+def lagrangian_coefficients(n: int) -> tuple[tuple[int, Poly], ...]:
+    """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n, built once per n."""
     if n < 1:
         raise ValueError("lagrangian_coefficients: n must be >= 1")
-    return [(k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1)]
+    return tuple((k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1))
 
 
 def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRat]]]:
@@ -261,7 +301,7 @@ def endpoint_limit(f: LogRat, at: str) -> Fraction:
     # canonical form: a denominator factor vanishing at the endpoint would now
     # divide all three numerators, so it is gone and the rest is 2**(a+b) there
     value = f.nums[0](1 if at == "plus_one" else -1)
-    return Fraction(value, 2 ** (f.pow_one_minus + f.pow_one_plus))
+    return Fraction(value, f.den * 2 ** (f.pow_one_minus + f.pow_one_plus))
 
 
 def bracket_via_oracle(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:

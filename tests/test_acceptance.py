@@ -118,7 +118,7 @@ class TestAcceptance:
         )
 
     def test_06_oracle_equivalence(self):
-        results = suite_oracle(max_index=8, max_n=4)
+        results = suite_oracle(max_index=12, max_n=5)
         ok, detail = all_ok(results)
         elapsed = sum(r.elapsed for r in results)
         report(

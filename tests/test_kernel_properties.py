@@ -5,13 +5,15 @@ elimination over ``Fraction`` written here, on small random matrices of
 ``int``s and ``Fraction``s, and the structural identities of the bracket
 matrices are checked on random r = s = n selections, with the sign law of
 the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
-construction, with an equality that agrees with cross-multiplication, and
-its boundary form and brackets are checked to be antisymmetric on random
+construction (``int`` numerators over one den that shares no content with
+them, from ``int`` and ``Fraction`` input), with an equality that agrees
+with cross-multiplication, and its boundary form and brackets are checked to be antisymmetric on random
 pairs of classical functions.  Every exact value the engine returns is an
 ``int`` or a ``Fraction``, never a ``float``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,8 +169,9 @@ def test_parity_blocks_obey_the_sign_law(sel):
 
 
 ONE_MINUS_X, ONE_PLUS_X = Poly([1, -1]), Poly([1, 1])
-int_polys = st.lists(st.integers(-3, 3), max_size=4).map(Poly)
-numerators = st.lists(int_polys, min_size=1, max_size=3)
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+rational_polys = st.lists(coefficients, max_size=4).map(Poly)
+numerators = st.lists(rational_polys, min_size=1, max_size=3)
 exponents = st.integers(0, 3)
 
 
@@ -193,8 +196,8 @@ def test_endrat_cancels_shared_factors(nums, a, b, i, j):
     base = LogRat(nums, a, b)
     factor = ONE_MINUS_X**i * ONE_PLUS_X**j
     scaled = LogRat([p * factor for p in nums], a + i, b + j)
-    assert (scaled.nums, scaled.pow_one_minus, scaled.pow_one_plus) == (
-        base.nums, base.pow_one_minus, base.pow_one_plus
+    assert (scaled.nums, scaled.pow_one_minus, scaled.pow_one_plus, scaled.den) == (
+        base.nums, base.pow_one_minus, base.pow_one_plus, base.den
     )
     assert base.pow_one_minus == 0 or any(p(1) != 0 for p in base.nums)
     assert base.pow_one_plus == 0 or any(p(-1) != 0 for p in base.nums)
@@ -224,6 +227,34 @@ def test_endrat_equality_is_cross_multiplication(pair):
     assert (e == f) == cross_multiplied_equal(x, y)
     if e == f:
         assert hash(e) == hash(f)
+
+
+def assert_integer_over_one_denominator(e):
+    coeffs = [c for p in e.nums for c in p.coeffs]
+    assert type(e.den) is int and e.den >= 1
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(e.den, *coeffs) == 1
+    if e.is_zero():
+        assert (e.nums, e.pow_one_minus, e.pow_one_plus, e.den) == ((Poly.ZERO,) * 3, 0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@example([Poly.ZERO], 2, 1, 6)  # zero over a non-unit den
+@example([Poly([Fraction(4)]), Poly([0, 2])], 0, 0, 4)  # an integral Fraction
+@given(numerators, exponents, exponents, st.integers(1, 12))
+def test_lograt_is_integer_over_one_denominator(nums, a, b, den):
+    """The constructor clears Fractions into den and divides out the content
+    shared with it; the result and the arithmetic on it stay in that form
+    and stand for the same function."""
+    e = LogRat(nums, a, b, den)
+    assert_integer_over_one_denominator(e)
+    assert cross_multiplied_equal(
+        ([p * Fraction(1, e.den) for p in e.nums], e.pow_one_minus, e.pow_one_plus),
+        ([p * Fraction(1, den) for p in nums], a, b),
+    )
+    f = LogRat(nums[::-1], b, a)
+    for result in (e + f, e - f, -e, e.derivative(), e * Fraction(-3, 4), e * 0):
+        assert_integer_over_one_denominator(result)
 
 
 classical_functions = st.builds(ClassicalFunction, st.sampled_from("PQ"), st.integers(0, 5))

@@ -9,6 +9,7 @@ from gkn_legendre.matrices import det_exact
 from gkn_legendre.oracle import (
     DivergentLimit,
     LogRat,
+    _lagrangian_chains,
     apply_ell,
     apply_ell_n,
     apply_ell_n_lagrangian,
@@ -249,6 +250,48 @@ class TestDerivativeCounts:
         assert count(sesquilinear_at, f, g, n) == n * (n + 1)
         assert count(apply_ell_n_lagrangian, g, n) == n + n * (n + 1) // 2
         assert count(fn_condition_check, g, n) == n * (n + 1) // 2
+
+
+class TestIntegerNumerators:
+    """The arithmetic never divides: every ``LogRat`` holds ``int`` numerator
+    coefficients over an ``int`` den, and prints N / den as the rational
+    coefficients it stands for."""
+
+    @staticmethod
+    def integral(e):
+        return type(e.den) is int and all(type(c) is int for p in e.nums for c in p.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chains_and_form_are_integer(self, n):
+        funcs = [classical_to_lograt(ClassicalFunction(kind, i)) for kind in "PQ" for i in range(7)]
+        for f in funcs:
+            derivs, chains = _lagrangian_chains(f, n)
+            assert all(map(self.integral, derivs + [e for chain in chains for e in chain]))
+        for f in funcs:
+            for g in funcs:
+                assert self.integral(sesquilinear_at(f, g, n))
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_den_must_be_positive(self, den):
+        with pytest.raises(ValueError, match="den must be >= 1"):
+            LogRat((Poly.ONE,), 0, 0, den)
+
+    def test_text_prints_rational_coefficients(self):
+        q2 = classical_to_lograt(Q(2))
+        assert q2.den == 2
+        assert str(q2) == "-3/2*x + [-1/2 + 3/2*x^2] * ln((1+x)/(1-x))/2"
+
+    def test_divergence_text_divides_by_den(self):
+        f = LogRat((Poly([Fraction(1, 3), Fraction(5, 6)]),), 1, 2)
+        assert (f.nums[0], f.den) == (Poly([2, 5]), 6)
+        with pytest.raises(DivergentLimit) as err:
+            endpoint_limit(f, "plus_one")
+        assert str(err.value) == (
+            "divergent limit at plus_one: leading term order -1 term [(1/3 + 5/6*x) / ((1-x)(1+x)^2)]"
+        )
+        with pytest.raises(DivergentLimit) as err:
+            endpoint_limit(classical_to_lograt(Q(2)), "plus_one")
+        assert str(err.value) == "divergent limit at plus_one: leading term order 0 term [-1/2 + 3/2*x^2] * L"
 
 
 class TestLegendreStirlingCertification:
