@@ -5,6 +5,15 @@ functions is the (r+s) x (r+s) table of brackets, P-block first.  All rank
 and determinant decisions use fraction-free (Bareiss) elimination over the
 integers after clearing row denominators, so there is no rounding anywhere
 and no magnitude wall.
+
+The elimination runs on each connected block of the nonzero pattern on its
+own (rows and columns are the nodes, each nonzero entry an edge).  The rank
+is the sum of the block ranks.  The determinant is 0 unless every block is
+square of full rank, and is then sgn(row order) * sgn(column order) times
+the product of the block determinants, for the orders that put the blocks on
+the diagonal.  A bracket matrix splits this way because brackets of
+functions of opposite parity vanish, but the rule reads only which entries
+are zero, so it is exact for every matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -126,27 +135,37 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
     return [[bracket(a, b, sel.power) for b in qs] for a in qs]
 
 
-def _bareiss(matrix) -> tuple[int, int | Fraction]:
-    """(rank, det) by one pass of fraction-free elimination over the integers.
-
-    Entries are ``int``s or ``Fraction``s.  Each row is first scaled to
-    integers by the lcm of its denominators; the product of those scales
-    divides the determinant back out.  The determinant is 0 unless the matrix
-    is square of full rank, where it is the last pivot up to the sign of the
-    row swaps.  The empty matrix has rank 0 and determinant 1.
-    """
+def _integer_rows(matrix) -> tuple[list[list[int]], int]:
+    """Each row scaled to integers by the lcm of its denominators, and the
+    product of those scales, which divides the determinant back out.
+    Entries are ``int``s or ``Fraction``s."""
     m, scale = [], 1
     for row in matrix:
         mult = math.lcm(*(x.denominator for x in row))
         scale *= mult
         m.append([x.numerator * (mult // x.denominator) for x in row])
+    return m, scale
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """(rank, det) of an integer matrix by one pass of fraction-free
+    elimination, which overwrites ``m``.
+
+    The determinant is 0 unless the matrix is square of full rank, where it
+    is the last pivot up to the sign of the row swaps.  The empty matrix has
+    rank 0 and determinant 1.  This is the only elimination loop;
+    ``rank_exact`` and ``det_exact`` run it once per connected block of the
+    nonzero pattern.
+    """
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rank == nrows:
             break
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
+        for piv in range(rank, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
@@ -161,20 +180,80 @@ def _bareiss(matrix) -> tuple[int, int | Fraction]:
             row[col] = 0  # never read again; frees the big entry
         prev = pivot
         rank += 1
-    det = Fraction(sign * prev, scale) if rank == nrows == ncols else 0
-    return rank, det
+    return rank, sign * prev if rank == nrows == ncols else 0
+
+
+def _blocks(m: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """(rows, cols) of each connected block of the nonzero pattern, each
+    list ascending, so a pattern that is one block keeps the matrix's order.
+
+    Rows and columns are the nodes and each nonzero entry joins its row to
+    its column.  One pass over the entries keeps a bitmask of columns per
+    group of rows; a row merges every group whose mask meets its own, so the
+    masks stay disjoint.  A zero row is a block with no columns; a zero
+    column lies in no block.
+    """
+    bits = [1 << j for j in range(len(m[0]))] if m else []
+    groups = []  # (rows, column mask)
+    for i, row in enumerate(m):
+        rows, mask = [i], sum(compress(bits, row))
+        apart = []
+        for g in groups:
+            if g[1] & mask:
+                rows += g[0]
+                mask |= g[1]
+            else:
+                apart.append(g)
+        apart.append((rows, mask))
+        groups = apart
+    return [(sorted(rows), [j for j, bit in enumerate(bits) if mask & bit]) for rows, mask in groups]
+
+
+def _block_matrices(m: list[list[int]], blocks):
+    """Each block's entries in its row and column order; a pattern that is
+    one block is ``m`` itself, uncopied."""
+    if len(blocks) == 1:
+        yield m
+        return
+    for rows, cols in blocks:
+        yield [[m[i][j] for j in cols] for i in rows]
 
 
 def rank_exact(matrix) -> int:
-    """Exact rank of a rational matrix."""
-    return _bareiss(matrix)[0]
+    """Exact rank of a rational matrix.
+
+    Permuting rows and columns puts the connected blocks of the nonzero
+    pattern on the diagonal, so the row space is the direct sum of theirs
+    and the rank is the sum of the block ranks, each by ``_bareiss``.
+    """
+    m, _ = _integer_rows(matrix)
+    return sum(_bareiss(block)[0] for block in _block_matrices(m, _blocks(m)))
 
 
 def det_exact(matrix) -> int | Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix.
+
+    It is 0 unless every connected block of the nonzero pattern is square;
+    then it is sgn(row order) * sgn(column order) times the product of the
+    block determinants, for the row and column orders that put the blocks on
+    the diagonal.  That product of signs is the sign of the permutation
+    taking each row to the column it is paired with inside its block, so it
+    does not depend on the order of the blocks.
+    """
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
-    return _bareiss(matrix)[1]
+    m, scale = _integer_rows(matrix)
+    blocks = _blocks(m)
+    if any(len(rows) != len(cols) for rows, cols in blocks):
+        return 0
+    paired = [0] * len(m)
+    for rows, cols in blocks:
+        for i, j in zip(rows, cols):
+            paired[i] = j
+    det = -1 if sum(a > b for a, b in combinations(paired, 2)) % 2 else 1
+    for block in _block_matrices(m, blocks):
+        det *= _bareiss(block)[1]
+    return Fraction(det, scale) if det else 0
 
 
 def is_li_mod_dmin(sel: IndexSelection) -> bool:

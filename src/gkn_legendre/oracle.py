@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from .exactnum import legendre_stirling
@@ -139,24 +140,31 @@ class LogRat:
         """The numerators over the denominator den (1-x)**a (1+x)**b."""
         scale = den // self.den
         if (a, b) == (self.pow_one_minus, self.pow_one_plus):
-            return self.nums if scale == 1 else tuple(p * scale for p in self.nums)
-        factor = _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (b - self.pow_one_plus)
-        if scale != 1:
-            factor = factor * scale
-        return tuple(p * factor for p in self.nums)
+            if scale == 1:
+                return self.nums
+            factor = scale
+        else:
+            factor = _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (b - self.pow_one_plus)
+            if scale != 1:
+                factor = factor * scale
+        return tuple(p * factor if p else p for p in self.nums)
 
-    def __add__(self, other: "LogRat") -> "LogRat":
+    def _combine(self, other: "LogRat", op) -> "LogRat":
+        """``op`` (add or sub) of the numerators lifted to the least common denominator."""
         a = max(self.pow_one_minus, other.pow_one_minus)
         b = max(self.pow_one_plus, other.pow_one_plus)
         den = lcm(self.den, other.den)
         nums = zip(self._lifted(a, b, den), other._lifted(a, b, den))
-        return LogRat(tuple(p + q for p, q in nums), a, b, den)
+        return LogRat(tuple(op(p, q) for p, q in nums), a, b, den)
+
+    def __add__(self, other: "LogRat") -> "LogRat":
+        return self._combine(other, add)
 
     def __neg__(self) -> "LogRat":
         return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus, self.den)
 
     def __sub__(self, other: "LogRat") -> "LogRat":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other) -> "LogRat":
         a, b = self.pow_one_minus, self.pow_one_plus
@@ -179,11 +187,17 @@ class LogRat:
         a, b = self.pow_one_minus, self.pow_one_plus
         slope = Poly([a - b, a + b])
         carry = [(m + 1) * p if p else p for m, p in enumerate(self.nums[1:])] + [Poly.ZERO]
-        nums = tuple(
-            p.derivative() * _ONE_MINUS_X2 + p * slope + c if p else c
-            for p, c in zip(self.nums, carry)
-        )
-        return LogRat(nums, a + 1, b + 1, self.den)
+        nums = []
+        for p, c in zip(self.nums, carry):
+            # a zero factor adds nothing: a constant's N', or the slope at a = b = 0
+            if p:
+                dp = p.derivative()
+                if dp:
+                    c = c + dp * _ONE_MINUS_X2
+                if slope:
+                    c = c + p * slope
+            nums.append(c)
+        return LogRat(tuple(nums), a + 1, b + 1, self.den)
 
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative
@@ -283,7 +297,7 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     for k, (fchain, gchain) in enumerate(zip(fchains, gchains), 1):
         for j in range(1, k + 1):
             term = gchain[k - j] * fder[j - 1] - fchain[k - j] * gder[j - 1]
-            total = total + (term if (k + j) % 2 == 0 else -term)
+            total = total + term if (k + j) % 2 == 0 else total - term
     return total
 
 
