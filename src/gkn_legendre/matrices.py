@@ -6,14 +6,12 @@ and determinant decisions use fraction-free (Bareiss) elimination over the
 integers after clearing row denominators, so there is no rounding anywhere
 and no magnitude wall.
 
-The elimination runs on each connected block of the nonzero pattern on its
-own (rows and columns are the nodes, each nonzero entry an edge).  The rank
-is the sum of the block ranks.  The determinant is 0 unless every block is
-square of full rank, and is then sgn(row order) * sgn(column order) times
-the product of the block determinants, for the orders that put the blocks on
-the diagonal.  A bracket matrix splits this way because brackets of
-functions of opposite parity vanish, but the rule reads only which entries
-are zero, so it is exact for every matrix.
+The rank runs the elimination on each connected block of the nonzero
+pattern on its own (rows and columns are the nodes, each nonzero entry an
+edge) and is the sum of the block ranks.  A bracket matrix splits this way
+because brackets of functions of opposite parity vanish, but the rule reads
+only which entries are zero, so it is exact for every matrix.  The
+determinant eliminates the whole matrix in one pass.
 """
 
 from __future__ import annotations
@@ -153,9 +151,9 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
 
     The determinant is 0 unless the matrix is square of full rank, where it
     is the last pivot up to the sign of the row swaps.  The empty matrix has
-    rank 0 and determinant 1.  This is the only elimination loop;
-    ``rank_exact`` and ``det_exact`` run it once per connected block of the
-    nonzero pattern.
+    rank 0 and determinant 1.  This is the only elimination loop:
+    ``rank_exact`` runs it once per connected block of the nonzero pattern,
+    ``det_exact`` once on the whole matrix.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
@@ -185,7 +183,7 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
 
 def _blocks(m: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     """(rows, cols) of each connected block of the nonzero pattern, each
-    list ascending, so a pattern that is one block keeps the matrix's order.
+    list ascending.
 
     Rows and columns are the nodes and each nonzero entry joins its row to
     its column.  One pass over the entries keeps a bitmask of columns per
@@ -209,16 +207,6 @@ def _blocks(m: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     return [(sorted(rows), [j for j, bit in enumerate(bits) if mask & bit]) for rows, mask in groups]
 
 
-def _block_matrices(m: list[list[int]], blocks):
-    """Each block's entries in its row and column order; a pattern that is
-    one block is ``m`` itself, uncopied."""
-    if len(blocks) == 1:
-        yield m
-        return
-    for rows, cols in blocks:
-        yield [[m[i][j] for j in cols] for i in rows]
-
-
 def rank_exact(matrix) -> int:
     """Exact rank of a rational matrix.
 
@@ -227,32 +215,15 @@ def rank_exact(matrix) -> int:
     and the rank is the sum of the block ranks, each by ``_bareiss``.
     """
     m, _ = _integer_rows(matrix)
-    return sum(_bareiss(block)[0] for block in _block_matrices(m, _blocks(m)))
+    return sum(_bareiss([[m[i][j] for j in cols] for i in rows])[0] for rows, cols in _blocks(m))
 
 
 def det_exact(matrix) -> int | Fraction:
-    """Exact determinant of a square rational matrix.
-
-    It is 0 unless every connected block of the nonzero pattern is square;
-    then it is sgn(row order) * sgn(column order) times the product of the
-    block determinants, for the row and column orders that put the blocks on
-    the diagonal.  That product of signs is the sign of the permutation
-    taking each row to the column it is paired with inside its block, so it
-    does not depend on the order of the blocks.
-    """
+    """Exact determinant of a square rational matrix."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
     m, scale = _integer_rows(matrix)
-    blocks = _blocks(m)
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return 0
-    paired = [0] * len(m)
-    for rows, cols in blocks:
-        for i, j in zip(rows, cols):
-            paired[i] = j
-    det = -1 if sum(a > b for a, b in combinations(paired, 2)) % 2 else 1
-    for block in _block_matrices(m, blocks):
-        det *= _bareiss(block)[1]
+    det = _bareiss(m)[1]
     return Fraction(det, scale) if det else 0
 
 

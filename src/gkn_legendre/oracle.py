@@ -279,7 +279,7 @@ def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     total = LogRat()
     for k, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
         term = chain[-1].derivative()
-        total = total + (term if k % 2 == 0 else -term)
+        total = total + term if k % 2 == 0 else total - term
     return total
 
 
