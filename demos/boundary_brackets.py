@@ -8,6 +8,8 @@ exact evaluation at large indices cheap.
 Run:  python3 demos/boundary_brackets.py
 """
 
+from fractions import Fraction
+
 from gkn_legendre import ClassicalFunction, bracket, bracket_decomposed
 
 
@@ -53,7 +55,7 @@ def main():
     base = bracket(P(0), Q(1), 1)
     for n in range(1, 8):
         v = bracket(P(0), Q(1), n)
-        print(f"  [P0,Q1]_{n} = {str(v):>6}  (ratio to n=1: {v / base})")
+        print(f"  [P0,Q1]_{n} = {str(v):>6}  (ratio to n=1: {Fraction(v, base)})")
 
 
 if __name__ == "__main__":

@@ -2,15 +2,18 @@
 
 For eigen-type functions the bracket factors as
     [f_j, g_k]_n = (lam_j**n - lam_k**n) * <f_j, g_k>,    lam_i = i(i+1),
-so only the classical inner products are needed.  The closed forms:
+and lam_j - lam_k = (j-k)(j+k+1) is exactly the denominator of the classical
+inner products.  So every bracket is a small factor times the integer
 
-    [P_j, P_k]_n = 0
-    [P_j, Q_k]_n = -2 (lam_j**n - lam_k**n) / ((k-j)(j+k+1))   for j+k odd, else 0
-    [Q_j, Q_k]_n = 2 (H_j - H_k)(lam_j**n - lam_k**n) / ((k-j)(j+k+1))
-                                                  for j+k even and j != k, else 0
+    h = h_{n-1}(lam_j, lam_k) = (lam_j**n - lam_k**n) / (lam_j - lam_k),
 
-The eigen-gap is written lam_j**n - lam_k**n against the denominator
-(k-j)(j+k+1), matching the sign convention of the printed matrices.
+and there are three cases:
+
+    [P_j, P_k]_n = 0, and every equal-index or parity-zero pair is 0
+    [P_j, Q_k]_n = 2h,  [Q_j, P_k]_n = -2h                    for j+k odd
+    [Q_j, Q_k]_n = -2 (H_j - H_k) h                 for j+k even and j != k
+
+Only the Q-Q case is a ``Fraction``; every other bracket is an ``int``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classical import ClassicalFunction, inner_pq, inner_qq
-from .exactnum import eigenvalue
+from .exactnum import eigenvalue, harmonic
 
 __all__ = ["bracket", "bracket_decomposed"]
 
@@ -27,8 +30,18 @@ def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fractio
     """Exact value of [f, g]_n evaluated from -1 to 1."""
     if n < 1:
         raise ValueError("bracket: n must be >= 1")
-    gap, inner = bracket_decomposed(f, g, n)
-    return gap * inner
+    j, k = f.index, g.index
+    if f.kind == "Q" and g.kind == "Q":
+        if j == k or (j + k) % 2:
+            return 0
+        factor = -2 * (harmonic(j) - harmonic(k))
+    elif f.kind == g.kind or (j + k) % 2 == 0:
+        return 0
+    else:
+        factor = 2 if f.kind == "P" else -2
+    # j != k here, so a != b and the division is exact
+    a, b = j * (j + 1), k * (k + 1)
+    return factor * ((a**n - b**n) // (a - b))
 
 
 def bracket_decomposed(

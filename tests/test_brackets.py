@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -45,11 +46,14 @@ class TestDecomposition:
         assert bracket_decomposed(Q(5), Q(5), 4) == (0, 0)
 
     def test_product_reassembles(self):
-        for j in range(6):
-            for k in range(6):
-                for n in (1, 2, 3):
-                    gap, inner = bracket_decomposed(P(j), Q(k), n)
-                    assert gap * inner == bracket(P(j), Q(k), n)
+        # the inner-product route shares no code with the h form of bracket
+        for fk, gk, j, k, n in product("PQ", "PQ", range(14), range(14), range(1, 7)):
+            f, g = ClassicalFunction(fk, j), ClassicalFunction(gk, k)
+            gap, inner = bracket_decomposed(f, g, n)
+            value = bracket(f, g, n)
+            assert value == gap * inner
+            if "P" in (fk, gk):
+                assert type(value) is int
 
 
 class TestStructuralProperties:

@@ -173,6 +173,25 @@ class TestSesquilinearForm:
         f, g = classical_to_lograt(Q(1)), classical_to_lograt(Q(3))
         assert sesquilinear_at(f, g, 2) == -sesquilinear_at(g, f, 2)
 
+    def test_endpoint_reflection(self):
+        # Lemma A: P_j(-x) = (-1)^j P_j(x) and Q_k(-x) = (-1)^(k+1) Q_k(x) give
+        # [f,g]_n(-1) = -(-1)^(p(f)+p(g)) [f,g]_n(+1), each endpoint taken
+        # on its own, so the bracket vanishes whenever p(f)+p(g) is odd
+        funcs = [ClassicalFunction(kind, i) for kind in "PQ" for i in range(6)]
+        parity = {f: f.index + (f.kind == "Q") for f in funcs}
+        nonzero_parities = set()
+        for n in (1, 2, 3):
+            for f in funcs:
+                for g in funcs:
+                    form = sesquilinear_at(classical_to_lograt(f), classical_to_lograt(g), n)
+                    plus = endpoint_limit(form, "plus_one")
+                    minus = endpoint_limit(form, "minus_one")
+                    p = parity[f] + parity[g]
+                    assert minus == -((-1) ** p) * plus
+                    if plus:
+                        nonzero_parities.add(p % 2)
+        assert nonzero_parities == {0, 1}  # both signs are checked on nonzero values
+
     def test_p0_q3_n3_endpoint_difference(self):
         form = sesquilinear_at(classical_to_lograt(P(0)), classical_to_lograt(Q(3)), 3)
         diff = endpoint_limit(form, "plus_one") - endpoint_limit(form, "minus_one")
