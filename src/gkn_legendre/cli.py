@@ -8,6 +8,7 @@ All machine-readable output is valid JSON or CSV; rationals print as "p/q".
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -125,32 +126,23 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-# verify flag -> keyword of the suite it applies to; a set flag the suite
-# does not take is an error, and unset flags are not passed, so each suite's
-# own signature holds its defaults
-_SUITE_FLAGS = {
-    "canonical": {"max_n": "max_n"},
-    "parity": {"n": "n", "pool": "pool"},
-    "n2-exhaustive": {"pool": "max_p_index"},
-    "oracle": {"max_index": "max_index", "max_n": "max_n"},
-}
-# the least value each verify flag takes; below it the flag is a usage error,
-# not a claim that failed
+# the verify flags and the least value each takes; below it the flag is a
+# usage error, not a claim that failed.  A suite takes the flags its
+# signature names, and unset flags are not passed, so each suite's own
+# signature holds its defaults
 _FLAG_MIN = {"max_n": 0, "max_index": 0, "pool": 0, "n": 1}
 
 
 def cmd_verify(args) -> int:
-    flags = _SUITE_FLAGS.get(args.suite, {})
-    given = {f for table in _SUITE_FLAGS.values() for f in table if getattr(args, f) is not None}
-    extra = sorted(given - flags.keys())
+    given = {flag: getattr(args, flag) for flag in _FLAG_MIN if getattr(args, flag) is not None}
+    extra = sorted(given.keys() - inspect.signature(SUITES[args.suite]).parameters.keys())
     if extra:
         names = ", ".join("--" + f.replace("_", "-") for f in extra)
         raise CliError(f"suite {args.suite} does not take {names}")
     for flag in sorted(given):
-        if getattr(args, flag) < _FLAG_MIN[flag]:
+        if given[flag] < _FLAG_MIN[flag]:
             raise CliError(f"--{flag.replace('_', '-')} must be >= {_FLAG_MIN[flag]}")
-    kwargs = {kw: getattr(args, flag) for flag, kw in flags.items() if flag in given}
-    results = run_suite(args.suite, **kwargs)
+    results = run_suite(args.suite, **given)
     failures = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -261,10 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--pool", type=int, default=None)
-    p.add_argument("--max-index", type=int, default=None)
+    for flag in _FLAG_MIN:
+        p.add_argument("--" + flag.replace("_", "-"), type=int, default=None)
     p.add_argument("--failure-dump", default="gkn_verify_failures.json")
     p.set_defaults(func=cmd_verify)
 

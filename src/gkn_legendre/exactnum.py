@@ -47,9 +47,6 @@ class PiPair:
     def to_float(self) -> float:
         return float(self.rat) + float(self.pi2) * math.pi**2
 
-    def to_json(self) -> dict:
-        return {"rat": rational_str(self.rat), "pi2": rational_str(self.pi2)}
-
 
 # Memo tables; entries are immutable once written.
 _harmonic: list[Fraction] = [Fraction(0)]

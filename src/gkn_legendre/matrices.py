@@ -214,6 +214,8 @@ def rank_exact(matrix) -> int:
     pattern on the diagonal, so the row space is the direct sum of theirs
     and the rank is the sum of the block ranks, each by ``_bareiss``.
     """
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("rank_exact: rows differ in length")
     m, _ = _integer_rows(matrix)
     return sum(_bareiss([[m[i][j] for j in cols] for i in rows])[0] for rows, cols in _blocks(m))
 

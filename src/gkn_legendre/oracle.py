@@ -129,9 +129,6 @@ class LogRat:
         object.__setattr__(self, "pow_one_plus", b)
         object.__setattr__(self, "den", den)
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def term(self, m: int) -> "LogRat":
         """The coefficient of L**m, as a function of its own."""
         return LogRat((self.nums[m],), self.pow_one_minus, self.pow_one_plus, self.den)

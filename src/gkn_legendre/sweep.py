@@ -82,23 +82,26 @@ def _scan_ledger(path: str):
     """Yield (end, record) for each record of a JSON-lines ledger, in file
     order, where end is the byte offset just past the record's line.
 
-    A final line without a newline is the last append, possibly cut short: if
-    it parses it is a complete record, otherwise it is reported on stderr and
-    skipped.  A bad line anywhere else raises ValueError.
+    A record is a JSON object with a string "key".  A final line without a
+    newline is the last append, possibly cut short: if it is a record it is
+    complete, otherwise it is reported on stderr and skipped.  Any other line
+    that is not a record raises ValueError naming the path and line number.
     """
     if not os.path.exists(path):
         return
     end = 0
     with open(path, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             end += len(line)
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except ValueError:
+                record = None
+            if not isinstance(record, dict) or not isinstance(record.get("key"), str):
                 if line.endswith(b"\n"):
-                    raise
+                    raise ValueError(f"{path}: line {number} is not a ledger record")
                 print(f"warning: {path}: dropped a torn final line ({len(line)} bytes)",
                       file=sys.stderr)
                 return
@@ -125,9 +128,9 @@ def _load_ledger_keys(path: str) -> set[str]:
 def run_sweep(config: RunConfig) -> list[SweepRecord]:
     """Evaluate all missing selections, appending each record as it arrives.
 
-    Returns the newly appended records, in deterministic (key-sorted) order
-    regardless of worker count.  Raises ValueError, before the ledger is
-    read, if the pool admits no selection at all.
+    Returns the newly appended records, in enumeration order regardless of
+    worker count.  Raises ValueError, before the ledger is read, if the pool
+    admits no selection at all.
     """
     candidates = list(enumerate_selections(config.power, config.pool_bound, config.parity_filter))
     if not candidates:
@@ -135,7 +138,6 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
         raise ValueError(f"pool bound {config.pool_bound} admits no {kind} for n={config.power}")
     done = _load_ledger_keys(config.ledger_path)
     todo = [sel for sel in candidates if sel.key() not in done]
-    todo.sort(key=lambda s: s.key())
     if not todo:
         return []
 

@@ -177,13 +177,13 @@ def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
     return [_check(f"parity/n={n}/pool={pool}", run)]
 
 
-def suite_n2_exhaustive(max_p_index: int = 50) -> list[CheckResult]:
+def suite_n2_exhaustive(pool: int = 50) -> list[CheckResult]:
     """n = 2: every distinct P pair up to the bound, with every complementary
     Q completion from {0..3}, gives a full-rank matrix."""
 
     def run():
         checked = 0
-        for p in combinations(range(max_p_index + 1), 2):
+        for p in combinations(range(pool + 1), 2):
             for q in combinations(range(4), 2):
                 sel = IndexSelection(p, q, 2)
                 if parity_census(sel) != (2, 2):
@@ -193,7 +193,7 @@ def suite_n2_exhaustive(max_p_index: int = 50) -> list[CheckResult]:
                     return False, f"rank-deficient balanced selection {sel.key()}"
         return _passed_if_any(checked, f"{checked} balanced n=2 selections all full rank")
 
-    return [_check(f"n2-exhaustive/p<={max_p_index}", run)]
+    return [_check(f"n2-exhaustive/p<={pool}", run)]
 
 
 def suite_oracle(max_index: int = 8, max_n: int = 4) -> list[CheckResult]:

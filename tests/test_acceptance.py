@@ -109,7 +109,7 @@ class TestAcceptance:
 
     def test_05_parity_theorem(self):
         results = suite_parity(n=2, pool=7) + suite_parity(n=3, pool=7)
-        results += suite_n2_exhaustive(max_p_index=50)
+        results += suite_n2_exhaustive(pool=50)
         ok, detail = all_ok(results)
         report(
             "5 unbalanced selections rank deficient; balanced n=2 full rank to P<=50",

@@ -25,12 +25,12 @@ def poly_integral(p: Poly) -> Fraction:
 class TestPoly:
     def test_canonical_trailing_zero_stripped(self):
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
-        assert Poly([0, 0]).is_zero()
+        assert not Poly([0, 0])
 
     def test_arithmetic(self):
         p = Poly([1, 1])
         assert (p * p).coeffs == (1, 2, 1)
-        assert (p - p).is_zero()
+        assert not p - p
         assert (p**3).coeffs == (1, 3, 3, 1)
         assert p.derivative().coeffs == (1,)
         assert p(Fraction(1, 2)) == Fraction(3, 2)
@@ -82,7 +82,7 @@ class TestLegendreQ:
     def test_q0(self):
         q = legendre_q(0)
         assert q.log_coeff.coeffs == (1,)
-        assert q.poly_part.is_zero()
+        assert not q.poly_part
 
     def test_q1(self):
         q = legendre_q(1)

@@ -99,6 +99,11 @@ class TestRankDet:
         with pytest.raises(ValueError):
             det_exact([[1, 2, 3], [4, 5, 6]])
 
+    def test_rank_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            rank_exact([[0], [0, 1]])
+        assert rank_exact([]) == 0
+
 
 class TestStructuralTheorems:
     def random_balanced_selection(self, rng):

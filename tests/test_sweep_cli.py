@@ -5,6 +5,7 @@ import pytest
 import gkn_legendre.cli as cli_module
 import gkn_legendre.matrices as matrices_module
 import gkn_legendre.sweep as sweep_module
+import gkn_legendre.verify as verify_module
 from gkn_legendre.cli import main
 from gkn_legendre.matrices import IndexSelection, parity_census
 from gkn_legendre.sweep import (
@@ -131,6 +132,18 @@ class TestSweepLedger:
             r.key() for r in full
         )
 
+    def test_records_follow_enumeration_order(self, tmp_path):
+        # at pool 10 the key "P=10" sorts before "P=2"; records keep the
+        # enumeration order all the same, for every worker count
+        order = [s.key() for s in enumerate_selections(1, 10)]
+        assert order != sorted(order)
+        for workers in (1, 2):
+            cfg = RunConfig(power=1, pool_bound=10, workers=workers,
+                            ledger_path=str(tmp_path / f"w{workers}.jsonl"))
+            records = run_sweep(cfg)
+            assert [r.key() for r in records] == order
+            assert [r["key"] for r in read_ledger(cfg.ledger_path)] == order
+
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
         monkeypatch.setenv(LEDGER_ENV_VAR, str(target))
@@ -190,6 +203,19 @@ class TestTornLedger:
         ledger.write_bytes(lines[0][:10] + b"\n" + b"".join(lines[1:]))
         assert self.sweep(ledger, 4) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b'"x"', b'{"x": 1}', b"{"],
+                             ids=["list", "string", "no-key", "malformed"])
+    def test_line_that_is_not_a_record_is_an_error(self, line, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        old = b"".join(lines[:2]) + line + b"\n" + b"".join(lines[2:])
+        ledger.write_bytes(old)
+        capsys.readouterr()
+        assert self.sweep(ledger, 4) == 2
+        assert f"{ledger}: line 3 is not a ledger record" in capsys.readouterr().err
+        assert ledger.read_bytes() == old
 
 
 class TestCliBracket:
@@ -338,6 +364,22 @@ class TestCliVerify:
         assert f"suite {argv[1]}" in captured.err
         assert all(flag in captured.err for flag in flags)
         assert not dump.exists()
+
+    def test_suite_flags_come_from_its_signature(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def stand_in(max_n=1):
+            seen.append(max_n)
+            return [CheckResult("stand-in", True, f"max_n={max_n}", 0.0)]
+
+        monkeypatch.setitem(verify_module.SUITES, "stand-in", stand_in)
+        dump = tmp_path / "failures.json"
+        argv = ["verify", "--suite", "stand-in", "--failure-dump", str(dump)]
+        assert main([*argv, "--max-n", "2"]) == 0
+        assert seen == [2] and "PASS  stand-in" in capsys.readouterr().out
+        assert main([*argv, "--pool", "3"]) == 2
+        assert "suite stand-in does not take --pool" in capsys.readouterr().err
+        assert seen == [2] and not dump.exists()
 
 
 class TestCliSweep:
