@@ -8,10 +8,12 @@ and no magnitude wall.
 
 The rank runs the elimination on each connected block of the nonzero
 pattern on its own (rows and columns are the nodes, each nonzero entry an
-edge) and is the sum of the block ranks.  A bracket matrix splits this way
-because brackets of functions of opposite parity vanish, but the rule reads
-only which entries are zero, so it is exact for every matrix.  The
-determinant eliminates the whole matrix in one pass.
+edge), and splits a block again at a tight row set: k rows whose nonzeros
+lie in k columns, so that the block is [[X, 0], [Y, Z]] with X square.  A
+nonsingular X clears Y, and the rank is then k + rank Z.  A bracket matrix
+splits both ways because brackets of opposite parity and P-P brackets
+vanish, but the rules read only which entries are zero, so they are exact
+for every matrix.  The determinant eliminates the whole matrix in one pass.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     The determinant is 0 unless the matrix is square of full rank, where it
     is the last pivot up to the sign of the row swaps.  The empty matrix has
     rank 0 and determinant 1.  This is the only elimination loop:
-    ``rank_exact`` runs it once per connected block of the nonzero pattern,
-    ``det_exact`` once on the whole matrix.
+    ``rank_exact`` runs it on the pieces of each block of the nonzero
+    pattern, ``det_exact`` once on the whole matrix.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
@@ -181,20 +183,21 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev if rank == nrows == ncols else 0
 
 
-def _blocks(m: list[list[int]]) -> list[tuple[list[int], list[int]]]:
-    """(rows, cols) of each connected block of the nonzero pattern, each
-    list ascending.
+def _blocks(m: list[list[int]]) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """The column bitmask of each row's nonzeros, and (rows, column mask) of
+    each connected block of the nonzero pattern, rows ascending.
 
     Rows and columns are the nodes and each nonzero entry joins its row to
-    its column.  One pass over the entries keeps a bitmask of columns per
-    group of rows; a row merges every group whose mask meets its own, so the
-    masks stay disjoint.  A zero row is a block with no columns; a zero
-    column lies in no block.
+    its column.  One pass over the entries keeps a column mask per group of
+    rows; a row merges every group whose mask meets its own, so the masks
+    stay disjoint.  A zero row is a block with no columns; a zero column lies
+    in no block.
     """
     bits = [1 << j for j in range(len(m[0]))] if m else []
-    groups = []  # (rows, column mask)
+    masks, groups = [], []  # groups: (rows, column mask)
     for i, row in enumerate(m):
         rows, mask = [i], sum(compress(bits, row))
+        masks.append(mask)
         apart = []
         for g in groups:
             if g[1] & mask:
@@ -204,20 +207,46 @@ def _blocks(m: list[list[int]]) -> list[tuple[list[int], list[int]]]:
                 apart.append(g)
         apart.append((rows, mask))
         groups = apart
-    return [(sorted(rows), [j for j, bit in enumerate(bits) if mask & bit]) for rows, mask in groups]
+    return masks, [(sorted(rows), mask) for rows, mask in groups]
+
+
+def _rank_block(m: list[list[int]], masks: list[int], rows: list[int], cols: int) -> int:
+    """Rank of ``m`` on ``rows`` and the columns in the bitmask ``cols``, split
+    at tight row sets as ``rank_exact`` describes."""
+
+    def rank_of(part, mask):
+        js = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        return _bareiss([[m[i][j] for j in js] for i in part])[0]
+
+    rank = 0
+    while True:  # each pass finds one tight set R, with S the mask s
+        for s in dict.fromkeys(masks[i] & cols for i in rows):
+            tight = [i for i in rows if masks[i] & cols | s == s]
+            if len(tight) == s.bit_count() < len(rows):
+                break
+        else:
+            return rank + rank_of(rows, cols)
+        if rank_of(tight, s) < len(tight):  # X singular
+            return rank + rank_of(rows, cols)
+        rank += len(tight)
+        rows = [i for i in rows if i not in tight]
+        cols &= ~s
 
 
 def rank_exact(matrix) -> int:
     """Exact rank of a rational matrix.
 
     Permuting rows and columns puts the connected blocks of the nonzero
-    pattern on the diagonal, so the row space is the direct sum of theirs
-    and the rank is the sum of the block ranks, each by ``_bareiss``.
+    pattern on the diagonal, so the rank is the sum of the block ranks.  A
+    block with k rows R whose nonzeros lie in k columns S is, up to order,
+    [[X, 0], [Y, Z]] with X = M[R, S]; if X is nonsingular, row operations
+    with X's rows clear Y and leave Z, so its rank is k + rank Z.
     """
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rank_exact: rows differ in length")
     m, _ = _integer_rows(matrix)
-    return sum(_bareiss([[m[i][j] for j in cols] for i in rows])[0] for rows, cols in _blocks(m))
+    masks, blocks = _blocks(m)
+    return sum(_rank_block(m, masks, rows, cols) for rows, cols in blocks)
 
 
 def det_exact(matrix) -> int | Fraction:

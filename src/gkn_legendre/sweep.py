@@ -146,17 +146,18 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
         os.makedirs(directory, exist_ok=True)
     stamp = datetime.now(timezone.utc).isoformat()
     records = []
-    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else nullcontext()
+    workers = min(config.workers, len(todo))  # the pool forks every worker up front
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with open(config.ledger_path, "a+b") as fh, pool:
         end = fh.tell()
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":  # a complete last record without its newline
                 fh.write(b"\n")
-        if config.workers == 1:
+        if workers == 1:
             results = map(evaluate_selection, todo)
         else:
-            chunk = max(1, len(todo) // (config.workers * 8))
+            chunk = max(1, len(todo) // (workers * 8))
             results = pool.map(evaluate_selection, todo, chunksize=chunk)
         # each record is written as its result arrives, so an interrupted
         # sweep keeps every record it finished

@@ -71,14 +71,15 @@ class TestAcceptance:
         report("2 rank(B4)=4, rank(B5)=5, rank(M3)=6 exactly", ok, detail)
 
     def test_03_canonical_full_rank_to_n32(self):
-        results = suite_canonical(max_n=32)
+        results = suite_canonical(max_n=40)
         ok, detail = all_ok(results)
-        digits = entry_digits(build_matrix(canonical_selection(32)).entries)
+        digits = [entry_digits(build_matrix(canonical_selection(n)).entries) for n in (32, 40)]
         elapsed = sum(r.elapsed for r in results)
         report(
-            "3 canonical selections full rank for n<=32 in exact arithmetic",
-            ok and elapsed < 300 and digits > 15,
-            f"{detail}; n=32 entries reach {digits} digits (doubles carry ~16); {elapsed:.1f}s",
+            "3 canonical selections full rank for n<=40 in exact arithmetic",
+            ok and elapsed < 300 and digits == [105, 138],
+            f"{detail}; n=32 and n=40 entries reach {digits[0]} and {digits[1]} digits"
+            f" (doubles carry ~16); {elapsed:.1f}s",
         )
 
     def test_04_structural_properties(self):

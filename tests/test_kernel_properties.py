@@ -114,6 +114,13 @@ def test_det_matches_reference(m):
     assert is_exact(det)
 
 
+def shuffled(draw, m):
+    """``m`` with its rows and its columns permuted at random."""
+    rows = draw(st.permutations(range(len(m))))
+    cols = draw(st.permutations(range(len(m[0]))))
+    return [[m[i][j] for j in cols] for i in rows]
+
+
 @st.composite
 def shuffled_block_diagonals(draw):
     """Block-diagonal matrices of up to four blocks, then rows and columns
@@ -131,9 +138,7 @@ def shuffled_block_diagonals(draw):
             for j in range(left, left + w):
                 m[i][j] = draw(st.integers(-9, 9) | rationals)
         top, left = top + h, left + w
-    rows = draw(st.permutations(range(nrows)))
-    cols = draw(st.permutations(range(ncols)))
-    return [[m[i][j] for j in cols] for i in rows]
+    return shuffled(draw, m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,10 +147,33 @@ def test_block_rank_matches_reference(m):
     assert rank_exact(m) == reference_rank_det(m)[0]
 
 
+@st.composite
+def shuffled_block_triangulars(draw):
+    """[[X, 0], [Y, Z]] with X square (k x k, possibly singular), Y arbitrary
+    and Z of any shape, empty included, then rows and columns permuted at
+    random.  Entries are ints, Fractions or 0."""
+    k, h, w = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.integers(-9, 9) | rationals | st.just(0)
+    x = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        x[-1] = list(x[0])  # a singular X
+    m = [row + [0] * w for row in x]
+    m += [[draw(entry) for _ in range(k + w)] for _ in range(h)]
+    return shuffled(draw, m)
+
+
+@settings(max_examples=300, deadline=None)
+@example([[1, 1, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]])  # X singular, rank X + rank Z = 2
+@given(shuffled_block_triangulars())
+def test_block_triangular_rank_matches_reference(m):
+    assert rank_exact(m) == reference_rank_det(m)[0]
+
+
 def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
-    """Canonical n = 32 reaches the elimination as its two 32 x 32 parity
-    blocks; a matrix with no zero entry reaches it once, whole, and so does
-    every matrix whose determinant is asked for."""
+    """Canonical n = 32 reaches the elimination as four 16 x 16 blocks: each
+    parity block [[0, B], [-B^T, C]] splits at the tight rows of B, then
+    -B^T is what is left.  A matrix with no zero entry reaches it once,
+    whole, and so does every matrix whose determinant is asked for."""
     calls, bareiss = [], kernel._bareiss
 
     def spy(m):
@@ -154,7 +182,10 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
 
     monkeypatch.setattr(kernel, "_bareiss", spy)
     assert rank_exact(build_matrix(canonical_selection(32)).entries) == 64
-    assert [(len(m), len(m[0])) for m in calls] == [(32, 32), (32, 32)]
+    assert [(len(m), len(m[0])) for m in calls] == [(16, 16)] * 4
+    calls.clear()
+    assert rank_exact(build_matrix(canonical_selection(4)).entries) == 8
+    assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 4
     calls.clear()
     dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert rank_exact(dense) == 3

@@ -144,6 +144,35 @@ class TestSweepLedger:
             assert [r.key() for r in records] == order
             assert [r["key"] for r in read_ledger(cfg.ledger_path)] == order
 
+    def test_pool_starts_no_more_workers_than_selections(self, tmp_path, monkeypatch):
+        started = []
+
+        class StubPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", StubPool)
+        _, full = self.run(tmp_path, pool=3, name="full.jsonl")
+        lines = (tmp_path / "full.jsonl").read_bytes().splitlines(keepends=True)
+        strip = lambda recs: [{k: v for k, v in r.items() if k != "timestamp"} for r in recs]
+        for left, pool_size in ((2, [2]), (1, []), (len(lines), [8])):
+            path = tmp_path / f"left{left}.jsonl"
+            path.write_bytes(b"".join(lines[: len(lines) - left]))
+            started.clear()
+            cfg = RunConfig(power=2, pool_bound=3, workers=8, ledger_path=str(path))
+            assert [r.key() for r in run_sweep(cfg)] == [r.key() for r in full][-left:]
+            assert started == pool_size
+            assert strip(read_ledger(str(path))) == strip(read_ledger(str(tmp_path / "full.jsonl")))
+
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
         monkeypatch.setenv(LEDGER_ENV_VAR, str(target))
