@@ -6,14 +6,12 @@ and determinant decisions use fraction-free (Bareiss) elimination over the
 integers after clearing row denominators, so there is no rounding anywhere
 and no magnitude wall.
 
-The rank runs the elimination on each connected block of the nonzero
-pattern on its own (rows and columns are the nodes, each nonzero entry an
-edge), and splits a block again at a tight row set: k rows whose nonzeros
-lie in k columns, so that the block is [[X, 0], [Y, Z]] with X square.  A
-nonsingular X clears Y, and the rank is then k + rank Z.  A bracket matrix
-splits both ways because brackets of opposite parity and P-P brackets
-vanish, but the rules read only which entries are zero, so they are exact
-for every matrix.  The determinant eliminates the whole matrix in one pass.
+The rank splits the matrix at a column set S and the rows R whose nonzeros
+all lie in S, so that it is [[X, 0], [Y, Z]] with X = M[R, S].  An X of full
+column rank clears Y, and the rank is then |S| + rank Z.  A bracket matrix
+splits so because brackets of opposite parity and P-P brackets vanish, but
+the rule reads only which entries are zero, so it is exact for every matrix.
+The determinant eliminates the whole matrix in one pass.
 """
 
 from __future__ import annotations
@@ -138,12 +136,16 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
 def _integer_rows(matrix) -> tuple[list[list[int]], int]:
     """Each row scaled to integers by the lcm of its denominators, and the
     product of those scales, which divides the determinant back out.
-    Entries are ``int``s or ``Fraction``s."""
+    Entries are ``int``s or ``Fraction``s; anything else is a ``TypeError``."""
     m, scale = [], 1
     for row in matrix:
-        mult = math.lcm(*(x.denominator for x in row))
+        try:
+            mult = math.lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (mult // x.denominator) for x in row])
+        except AttributeError:
+            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
+            raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}") from None
         scale *= mult
-        m.append([x.numerator * (mult // x.denominator) for x in row])
     return m, scale
 
 
@@ -183,70 +185,41 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev if rank == nrows == ncols else 0
 
 
-def _blocks(m: list[list[int]]) -> tuple[list[int], list[tuple[list[int], int]]]:
-    """The column bitmask of each row's nonzeros, and (rows, column mask) of
-    each connected block of the nonzero pattern, rows ascending.
+def rank_exact(matrix) -> int:
+    """Exact rank of a rational matrix.
 
-    Rows and columns are the nodes and each nonzero entry joins its row to
-    its column.  One pass over the entries keeps a column mask per group of
-    rows; a row merges every group whose mask meets its own, so the masks
-    stay disjoint.  A zero row is a block with no columns; a zero column lies
-    in no block.
+    Take a column set S and the rows R whose nonzeros all lie in it, so that
+    up to order the matrix is [[X, 0], [Y, Z]] with X = M[R, S].  If X has
+    full column rank |S|, its rows span every row of Y, so row operations
+    clear Y without touching Z and the rank is |S| + rank Z.  Each distinct
+    row mask is tried as S, the first proper R with |R| >= |S| is taken, and
+    the rule repeats on Z; what is left when none is found, or when X falls
+    short of rank |S|, is eliminated in one piece.
     """
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("rank_exact: rows differ in length")
+    m, _ = _integer_rows(matrix)
     bits = [1 << j for j in range(len(m[0]))] if m else []
-    masks, groups = [], []  # groups: (rows, column mask)
-    for i, row in enumerate(m):
-        rows, mask = [i], sum(compress(bits, row))
-        masks.append(mask)
-        apart = []
-        for g in groups:
-            if g[1] & mask:
-                rows += g[0]
-                mask |= g[1]
-            else:
-                apart.append(g)
-        apart.append((rows, mask))
-        groups = apart
-    return masks, [(sorted(rows), mask) for rows, mask in groups]
-
-
-def _rank_block(m: list[list[int]], masks: list[int], rows: list[int], cols: int) -> int:
-    """Rank of ``m`` on ``rows`` and the columns in the bitmask ``cols``, split
-    at tight row sets as ``rank_exact`` describes."""
+    masks = [sum(compress(bits, row)) for row in m]
 
     def rank_of(part, mask):
         js = [j for j in range(mask.bit_length()) if mask >> j & 1]
         return _bareiss([[m[i][j] for j in js] for i in part])[0]
 
-    rank = 0
-    while True:  # each pass finds one tight set R, with S the mask s
+    rows, cols, rank = range(len(m)), sum(bits), 0
+    while True:  # each pass takes one R, with S the mask s
         for s in dict.fromkeys(masks[i] & cols for i in rows):
             tight = [i for i in rows if masks[i] & cols | s == s]
-            if len(tight) == s.bit_count() < len(rows):
+            if s.bit_count() <= len(tight) < len(rows):
                 break
         else:
             return rank + rank_of(rows, cols)
-        if rank_of(tight, s) < len(tight):  # X singular
+        k = s.bit_count()
+        if k and rank_of(tight, s) < k:  # X short of full column rank
             return rank + rank_of(rows, cols)
-        rank += len(tight)
+        rank += k
         rows = [i for i in rows if i not in tight]
         cols &= ~s
-
-
-def rank_exact(matrix) -> int:
-    """Exact rank of a rational matrix.
-
-    Permuting rows and columns puts the connected blocks of the nonzero
-    pattern on the diagonal, so the rank is the sum of the block ranks.  A
-    block with k rows R whose nonzeros lie in k columns S is, up to order,
-    [[X, 0], [Y, Z]] with X = M[R, S]; if X is nonsingular, row operations
-    with X's rows clear Y and leave Z, so its rank is k + rank Z.
-    """
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise ValueError("rank_exact: rows differ in length")
-    m, _ = _integer_rows(matrix)
-    masks, blocks = _blocks(m)
-    return sum(_rank_block(m, masks, rows, cols) for rows, cols in blocks)
 
 
 def det_exact(matrix) -> int | Fraction:

@@ -2,9 +2,10 @@
 
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random matrices of
-``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal ones
-whose rows and columns are shuffled; the rank's elimination is pinned to run
-once per connected block of the nonzero pattern, the determinant's once.  The structural identities of the bracket
+``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal and
+block-triangular ones whose rows and columns are shuffled; the rank's
+elimination is pinned to the pieces its splitting rule finds, the
+determinant's to one pass.  The structural identities of the bracket
 matrices are checked on random r = s = n selections, with the sign law of
 the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
 construction (``int`` numerators over one den that shares no content with
@@ -149,14 +150,16 @@ def test_block_rank_matches_reference(m):
 
 @st.composite
 def shuffled_block_triangulars(draw):
-    """[[X, 0], [Y, Z]] with X square (k x k, possibly singular), Y arbitrary
-    and Z of any shape, empty included, then rows and columns permuted at
-    random.  Entries are ints, Fractions or 0."""
-    k, h, w = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    """[[X, 0], [Y, Z]] with X (k + e) x k for e in 0..2, of full column rank
+    or not, Y arbitrary and Z of any shape, empty included, then rows and
+    columns permuted at random.  Entries are ints, Fractions or 0."""
+    k, e = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     entry = st.integers(-9, 9) | rationals | st.just(0)
-    x = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    x = [[draw(entry) for _ in range(k)] for _ in range(k + e)]
     if k > 1 and draw(st.booleans()):
-        x[-1] = list(x[0])  # a singular X
+        for row in x:
+            row[-1] = row[0]  # a repeated column: X short of full column rank
     m = [row + [0] * w for row in x]
     m += [[draw(entry) for _ in range(k + w)] for _ in range(h)]
     return shuffled(draw, m)
@@ -170,10 +173,11 @@ def test_block_triangular_rank_matches_reference(m):
 
 
 def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
-    """Canonical n = 32 reaches the elimination as four 16 x 16 blocks: each
-    parity block [[0, B], [-B^T, C]] splits at the tight rows of B, then
-    -B^T is what is left.  A matrix with no zero entry reaches it once,
-    whole, and so does every matrix whose determinant is asked for."""
+    """Canonical n = 32 reaches the elimination as four 16 x 16 blocks: the
+    rows of each parity block of B split off, then each parity block of
+    -B^T.  Rows whose nonzeros lie in fewer columns than there are rows split
+    off too.  A matrix with no zero entry reaches it once, whole, and so does
+    every matrix whose determinant is asked for."""
     calls, bareiss = [], kernel._bareiss
 
     def spy(m):
@@ -186,6 +190,10 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     calls.clear()
     assert rank_exact(build_matrix(canonical_selection(4)).entries) == 8
     assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 4
+    calls.clear()
+    tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
+    assert rank_exact(tall) == 4
+    assert [(len(m), len(m[0])) for m in calls] == [(3, 2), (2, 2)]
     calls.clear()
     dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert rank_exact(dense) == 3

@@ -104,6 +104,14 @@ class TestRankDet:
             rank_exact([[0], [0, 1]])
         assert rank_exact([]) == 0
 
+    def test_float_entry_is_a_type_error(self):
+        with pytest.raises(TypeError, match="float"):
+            rank_exact([[0.5, 1]])
+        with pytest.raises(TypeError, match="float"):
+            det_exact([[1.5]])
+        with pytest.raises(TypeError, match="float"):
+            rank_exact([[1, Fraction(1, 2)], [2, 0.0]])
+
 
 class TestStructuralTheorems:
     def random_balanced_selection(self, rng):
