@@ -38,12 +38,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes", "on"):
         return True
@@ -70,7 +64,7 @@ def _selection_from_args(args) -> IndexSelection:
     if args.canonical:
         return canonical_selection(args.n)
     if args.p is None or args.q is None:
-        raise CliError("either --canonical or both --p and --q are required")
+        raise ValueError("either --canonical or both --p and --q are required")
     return IndexSelection(args.p, args.q, args.n)
 
 
@@ -116,7 +110,7 @@ def cmd_matrix(args) -> int:
             "entries": as_json["entries"],
         }
     if not m.entries or not m.entries[0]:
-        raise CliError(f"the {args.block} block of {sel.key()} is empty")
+        raise ValueError(f"the {args.block} block of {sel.key()} is empty")
     if args.format == "json":
         print(json.dumps(doc))
     elif args.format == "csv":
@@ -138,10 +132,10 @@ def cmd_verify(args) -> int:
     extra = sorted(given.keys() - inspect.signature(SUITES[args.suite]).parameters.keys())
     if extra:
         names = ", ".join("--" + f.replace("_", "-") for f in extra)
-        raise CliError(f"suite {args.suite} does not take {names}")
+        raise ValueError(f"suite {args.suite} does not take {names}")
     for flag in sorted(given):
         if given[flag] < _FLAG_MIN[flag]:
-            raise CliError(f"--{flag.replace('_', '-')} must be >= {_FLAG_MIN[flag]}")
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {_FLAG_MIN[flag]}")
     results = run_suite(args.suite, **given)
     failures = [r for r in results if not r.ok]
     for r in results:
@@ -207,7 +201,7 @@ def cmd_qfun(args) -> int:
 
 def cmd_stirling(args) -> int:
     if args.n < 0:
-        raise CliError("stirling: n must be >= 0")
+        raise ValueError("stirling: n must be >= 0")
     rows = [[legendre_stirling(n, k) for k in range(n + 1)] for n in range(args.n + 1)]
     if args.format == "json":
         print(json.dumps(rows))
@@ -298,9 +292,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

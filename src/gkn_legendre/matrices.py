@@ -6,11 +6,11 @@ and determinant decisions use fraction-free (Bareiss) elimination over the
 integers after clearing row denominators, so there is no rounding anywhere
 and no magnitude wall.
 
-The rank splits the matrix at a column set S and the rows R whose nonzeros
-all lie in S, so that it is [[X, 0], [Y, Z]] with X = M[R, S].  An X of full
-column rank clears Y, and the rank is then |S| + rank Z.  A bracket matrix
-splits so because brackets of opposite parity and P-P brackets vanish, but
-the rule reads only which entries are zero, so it is exact for every matrix.
+The rank splits off rows R whose nonzeros all lie in a column set S, so that
+the matrix is [[X, 0], [Y, Z]] with X = M[R, S] of full column rank: X clears
+Y, and the rank is |S| + rank Z.  What no such R splits is eliminated whole.
+A bracket matrix splits so because brackets of opposite parity and P-P
+brackets vanish, but the rule is exact for every matrix.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -192,9 +192,9 @@ def rank_exact(matrix) -> int:
     up to order the matrix is [[X, 0], [Y, Z]] with X = M[R, S].  If X has
     full column rank |S|, its rows span every row of Y, so row operations
     clear Y without touching Z and the rank is |S| + rank Z.  Each distinct
-    row mask is tried as S, the first proper R with |R| >= |S| is taken, and
-    the rule repeats on Z; what is left when none is found, or when X falls
-    short of rank |S|, is eliminated in one piece.
+    row mask is tried as S, the first proper R with |R| >= |S| and X of rank
+    |S| is taken, and the rule repeats on Z; what is left when none is found
+    is eliminated in one piece.
     """
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rank_exact: rows differ in length")
@@ -207,15 +207,13 @@ def rank_exact(matrix) -> int:
         return _bareiss([[m[i][j] for j in js] for i in part])[0]
 
     rows, cols, rank = range(len(m)), sum(bits), 0
-    while True:  # each pass takes one R, with S the mask s
+    while True:  # each pass splits off one R, with S the mask s
         for s in dict.fromkeys(masks[i] & cols for i in rows):
             tight = [i for i in rows if masks[i] & cols | s == s]
-            if s.bit_count() <= len(tight) < len(rows):
+            k = s.bit_count()
+            if k <= len(tight) < len(rows) and (not k or rank_of(tight, s) == k):
                 break
         else:
-            return rank + rank_of(rows, cols)
-        k = s.bit_count()
-        if k and rank_of(tight, s) < k:  # X short of full column rank
             return rank + rank_of(rows, cols)
         rank += k
         rows = [i for i in rows if i not in tight]

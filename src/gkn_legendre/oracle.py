@@ -66,12 +66,7 @@ _POWER_NAME = ("", " * L", " * L^2")
 
 
 class DivergentLimit(ValueError):
-    """An endpoint limit does not exist; carries the leading singular term."""
-
-    def __init__(self, at: str, leading: str):
-        self.at = at
-        self.leading = leading
-        super().__init__(f"divergent limit at {at}: leading term {leading}")
+    """An endpoint limit does not exist; its message names the leading term."""
 
 
 @dataclass(frozen=True)
@@ -308,7 +303,8 @@ def endpoint_limit(f: LogRat, at: str) -> Fraction:
     orders = f.order_at(at)
     for m in (2, 1, 0):
         if orders[m] < (1 if m else 0):
-            raise DivergentLimit(at, f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}")
+            leading = f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}"
+            raise DivergentLimit(f"divergent limit at {at}: leading term {leading}")
     # canonical form: a denominator factor vanishing at the endpoint would now
     # divide all three numerators, so it is gone and the rest is 2**(a+b) there
     value = f.nums[0](1 if at == "plus_one" else -1)

@@ -71,11 +71,11 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-def evaluate_selection(sel: IndexSelection) -> tuple[str, int, bool, str]:
+def evaluate_selection(sel: IndexSelection) -> tuple[int, bool, str]:
     m = build_matrix(sel)
     rank = rank_exact(m.entries)
     det_b = det_exact(b_block(sel))
-    return sel.key(), rank, rank == m.size, rational_str(det_b)
+    return rank, rank == m.size, rational_str(det_b)
 
 
 def _scan_ledger(path: str):
@@ -161,7 +161,7 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
             results = pool.map(evaluate_selection, todo, chunksize=chunk)
         # each record is written as its result arrives, so an interrupted
         # sweep keeps every record it finished
-        for sel, (_, rank, full, det_b) in zip(todo, results):
+        for sel, (rank, full, det_b) in zip(todo, results):
             rec = SweepRecord(sel, rank, full, det_b, stamp, __version__)
             fh.write(json.dumps(rec.to_json(), sort_keys=True).encode() + b"\n")
             records.append(rec)

@@ -176,8 +176,9 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     """Canonical n = 32 reaches the elimination as four 16 x 16 blocks: the
     rows of each parity block of B split off, then each parity block of
     -B^T.  Rows whose nonzeros lie in fewer columns than there are rows split
-    off too.  A matrix with no zero entry reaches it once, whole, and so does
-    every matrix whose determinant is asked for."""
+    off too, and a row set whose X is short of full column rank is passed over
+    for the next one.  A matrix with no zero entry reaches it once, whole, and
+    so does every matrix whose determinant is asked for."""
     calls, bareiss = [], kernel._bareiss
 
     def spy(m):
@@ -194,6 +195,10 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
     assert rank_exact(tall) == 4
     assert [(len(m), len(m[0])) for m in calls] == [(3, 2), (2, 2)]
+    calls.clear()
+    singular_first = [[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 2]]
+    assert rank_exact(singular_first) == 3
+    assert [(len(m), len(m[0])) for m in calls] == [(2, 2), (2, 2), (2, 1)]
     calls.clear()
     dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert rank_exact(dense) == 3

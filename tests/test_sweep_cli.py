@@ -56,13 +56,12 @@ class TestEnumeration:
 class TestEvaluate:
     def test_canonical_n2(self):
         sel = IndexSelection((0, 1), (0, 1), 2)
-        key, rank, full, det_b = evaluate_selection(sel)
-        assert key == "n=2;P=0,1;Q=0,1"
+        rank, full, det_b = evaluate_selection(sel)
         assert rank == 4 and full
         assert det_b == "-16"
 
     def test_unbalanced_is_deficient(self):
-        _, rank, full, det_b = evaluate_selection(IndexSelection((0, 2), (0, 2), 2))
+        rank, full, det_b = evaluate_selection(IndexSelection((0, 2), (0, 2), 2))
         assert not full and det_b == "0"
 
 
@@ -444,8 +443,8 @@ class TestCliSweep:
         target = "n=2;P=0,1;Q=0,1"  # parity census (2, 2)
 
         def deficient_target(sel):
-            key, rank, full, det_b = evaluate_selection(sel)
-            return (key, 3, False, "0") if key == target else (key, rank, full, det_b)
+            rank, full, det_b = evaluate_selection(sel)
+            return (3, False, "0") if sel.key() == target else (rank, full, det_b)
 
         monkeypatch.setattr(sweep_module, "evaluate_selection", deficient_target)
         code = main(
