@@ -8,9 +8,13 @@ and no magnitude wall.
 
 The rank splits off rows R whose nonzeros all lie in a column set S, so that
 the matrix is [[X, 0], [Y, Z]] with X = M[R, S] of full column rank: X clears
-Y, and the rank is |S| + rank Z.  What no such R splits is eliminated whole.
-A bracket matrix splits so because brackets of opposite parity and P-P
-brackets vanish, but the rule is exact for every matrix.
+Y, and the rank is |S| + rank Z.  In a skew matrix (M = -M^T) rows and
+columns R and S split off together, for rank 2|S|: M[S, R] = -X^T clears the
+rest of rows S, and R and S are disjoint because the diagonal is zero.  What
+no such R splits is eliminated whole; only the pieces eliminated are scaled
+to integers.  A bracket matrix is skew, as the form of Green's formula is,
+and splits so because brackets of opposite parity and P-P brackets vanish,
+but the rule is exact for every matrix.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -19,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
+from operator import eq, neg
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -195,19 +200,35 @@ def rank_exact(matrix) -> int:
     row mask is tried as S, the first proper R with |R| >= |S| and X of rank
     |S| is taken, and the rule repeats on Z; what is left when none is found
     is eliminated in one piece.
+
+    If M is skew (M = -M^T, tested once, on the values), each split takes
+    rows and columns R and S together and adds 2|S|.  Rows R are zero
+    outside columns S, so by skewness columns R are zero outside rows S, and
+    M[S, R] = -X^T has full row rank |S|: column operations clear the rest
+    of rows S, and what is left is M[T, T] for the indices T outside R and S,
+    still principal and skew.  R and S are disjoint without a test: S is the
+    mask of a row r in play, and r is not in S as M[r, r] = 0, so each i in S
+    has the nonzero M[i, r] = -M[r, i] outside S and is not in R.  Each piece
+    is scaled to integers just before its elimination.
     """
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rank_exact: rows differ in length")
-    m, _ = _integer_rows(matrix)
-    bits = [1 << j for j in range(len(m[0]))] if m else []
-    masks = [sum(compress(bits, row)) for row in m]
+    if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
+        _integer_rows(matrix)  # names the first entry that is neither
+    ncols = len(matrix[0]) if matrix else 0
+    skew = len(matrix) == ncols and all(
+        all(map(eq, row[i:], map(neg, col[i:])))  # M[i, j] = -M[j, i] for j >= i
+        for i, (row, col) in enumerate(zip(matrix, zip(*matrix)))
+    )
+    bits = [1 << j for j in range(ncols)]
+    masks = [sum(compress(bits, row)) for row in matrix]
 
     def rank_of(part, mask):
         js = [j for j in range(mask.bit_length()) if mask >> j & 1]
-        return _bareiss([[m[i][j] for j in js] for i in part])[0]
+        return _bareiss(_integer_rows([[matrix[i][j] for j in js] for i in part])[0])[0]
 
-    rows, cols, rank = range(len(m)), sum(bits), 0
-    while True:  # each pass splits off one R, with S the mask s
+    rows, cols, rank = range(len(matrix)), sum(bits), 0
+    while rows:  # each pass splits off one R, with S the mask s
         for s in dict.fromkeys(masks[i] & cols for i in rows):
             tight = [i for i in rows if masks[i] & cols | s == s]
             k = s.bit_count()
@@ -216,8 +237,13 @@ def rank_exact(matrix) -> int:
         else:
             return rank + rank_of(rows, cols)
         rank += k
+        if skew:  # R and S leave as rows and as columns
+            rank += k
+            s |= sum(bits[i] for i in tight)
+            tight = [i for i in rows if s >> i & 1]
         rows = [i for i in rows if i not in tight]
         cols &= ~s
+    return rank
 
 
 def det_exact(matrix) -> int | Fraction:

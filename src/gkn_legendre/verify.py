@@ -137,11 +137,9 @@ def suite_paper_tables() -> list[CheckResult]:
 
 
 def entry_digits(matrix) -> int:
-    """Largest decimal magnitude among the entries (numerator digits)."""
-    return max(
-        (len(str(abs(x.numerator))) for row in matrix for x in row if x),
-        default=1,
-    )
+    """Largest decimal magnitude among the entries (numerator digits); 1 for
+    a matrix with no nonzero entry."""
+    return len(str(max((abs(x.numerator) for row in matrix for x in row), default=0)))
 
 
 def suite_canonical(max_n: int = 32) -> list[CheckResult]:

@@ -3,7 +3,8 @@
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random matrices of
 ``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal and
-block-triangular ones whose rows and columns are shuffled; the rank's
+block-triangular ones whose rows and columns are shuffled, and on skew ones
+shuffled by one permutation of both; the rank's
 elimination is pinned to the pieces its splitting rule finds, the
 determinant's to one pass.  The structural identities of the bracket
 matrices are checked on random r = s = n selections, with the sign law of
@@ -172,13 +173,67 @@ def test_block_triangular_rank_matches_reference(m):
     assert rank_exact(m) == reference_rank_det(m)[0]
 
 
+@st.composite
+def conjugated_skew_triangulars(draw):
+    """[[0, X, 0], [-X^T, C, D], [0, -D^T, E]] with C and E skew, X of any
+    shape and sometimes short of full column rank, then rows and columns
+    permuted by one permutation, which keeps the matrix skew.  Entries are
+    ints, Fractions or 0."""
+    a, b, c = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.integers(-9, 9) | rationals | st.just(0)
+    x = [[draw(entry) for _ in range(b)] for _ in range(a)]
+    if b > 1 and draw(st.booleans()):
+        for row in x:
+            row[-1] = row[0]  # a repeated column: X short of full column rank
+    d = [[draw(entry) for _ in range(c)] for _ in range(b)]
+    part = [0] * a + [1] * b + [2] * c  # R, S, T
+    n = len(part)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (part[i], part[j]) == (0, 1):
+                m[i][j] = x[i][j - a]
+            elif (part[i], part[j]) == (1, 2):
+                m[i][j] = d[i - a][j - a - b]
+            elif part[i] == part[j] != 0:  # C or E
+                m[i][j] = draw(entry)
+            m[j][i] = -m[i][j]
+    order = draw(st.permutations(range(n)))
+    return [[m[i][j] for j in order] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@example([[0, 0, 1, 1], [0, 0, 1, 2], [-1, -1, 0, 0], [-1, -2, 0, 0]])  # one pair split on a 2 x 2 X: rank 4
+@given(conjugated_skew_triangulars())
+def test_skew_rank_matches_reference(m):
+    assert rank_exact(m) == reference_rank_det(m)[0]
+
+
+def test_pair_split_reads_values():
+    """The pair split needs M = -M^T in value: a symmetric matrix with a
+    skew zero pattern, a non-skew matrix with a zero diagonal, and one that
+    is skew off its nonzero diagonal all take the one-sided rule."""
+    assert rank_exact([[0, 0, 1, 1], [0, 0, 1, 2], [1, 1, 0, 0], [1, 1, 0, 0]]) == 3
+    assert rank_exact([[0, 1], [0, 0]]) == 1
+    assert rank_exact([[1, -1, 0], [1, 0, 2], [0, -2, 0]]) == 3  # R and S would meet
+
+
+def kernel_cells(m, rank):
+    """Bareiss cell updates for ``rank`` pivots of an m, by the benchmark
+    tracer's formula."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    return sum((rows - k - 1) * (cols - k - 1) for k in range(rank))
+
+
 def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
-    """Canonical n = 32 reaches the elimination as four 16 x 16 blocks: the
-    rows of each parity block of B split off, then each parity block of
-    -B^T.  Rows whose nonzeros lie in fewer columns than there are rows split
-    off too, and a row set whose X is short of full column rank is passed over
-    for the next one.  A matrix with no zero entry reaches it once, whole, and
-    so does every matrix whose determinant is asked for."""
+    """Canonical n = 32 reaches the elimination as two 16 x 16 blocks: the
+    rows of each parity block of B split off, and with them, as the matrix is
+    skew, the rows and columns of its -B^T, which are not eliminated; canonical
+    n <= 24 costs 6358 cell updates.  Rows whose nonzeros lie in fewer
+    columns than there are rows split off too, and a row set whose X is short
+    of full column rank is passed over for the next one.  A matrix with no
+    zero entry reaches it once, whole, and so does every matrix whose
+    determinant is asked for.  No piece is empty."""
     calls, bareiss = [], kernel._bareiss
 
     def spy(m):
@@ -187,10 +242,14 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
 
     monkeypatch.setattr(kernel, "_bareiss", spy)
     assert rank_exact(build_matrix(canonical_selection(32)).entries) == 64
-    assert [(len(m), len(m[0])) for m in calls] == [(16, 16)] * 4
+    assert [(len(m), len(m[0])) for m in calls] == [(16, 16)] * 2
     calls.clear()
     assert rank_exact(build_matrix(canonical_selection(4)).entries) == 8
-    assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 4
+    assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 2
+    calls.clear()
+    unbalanced = IndexSelection((0, 1, 2), (0, 1, 2), 3)
+    assert rank_exact(build_matrix(unbalanced).entries) == 4
+    assert [(len(m), len(m[0])) for m in calls] == [(2, 1), (3, 3)]
     calls.clear()
     tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
     assert rank_exact(tall) == 4
@@ -207,6 +266,11 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     split = [[0, 2, 0], [3, 0, 0], [0, 0, 5]]
     assert det_exact(split) == -30
     assert calls == [split]
+    calls.clear()
+    for n in range(1, 25):
+        rank_exact(build_matrix(canonical_selection(n)).entries)
+    assert all(calls)
+    assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == 6358
 
 
 def test_empty_matrix():

@@ -14,7 +14,7 @@ from gkn_legendre.matrices import (
     parity_census,
     rank_exact,
 )
-from gkn_legendre.verify import B4_EXPECTED, B5_EXPECTED, M3_EXPECTED
+from gkn_legendre.verify import B4_EXPECTED, B5_EXPECTED, M3_EXPECTED, entry_digits
 
 
 def frac_rows(rows):
@@ -111,6 +111,15 @@ class TestRankDet:
             det_exact([[1.5]])
         with pytest.raises(TypeError, match="float"):
             rank_exact([[1, Fraction(1, 2)], [2, 0.0]])
+        m = [list(row) for row in build_matrix(canonical_selection(3)).entries]
+        m[3][5], m[5][3] = 0.5, -0.5  # in C, whose rows the pair split never scales
+        with pytest.raises(TypeError, match="float"):
+            rank_exact(m)
+
+    def test_entry_digits(self):
+        assert entry_digits(M3_EXPECTED) == 3
+        assert entry_digits([[0, Fraction(-12345, 7)], [-99, 0]]) == 5
+        assert entry_digits([[0, 0], [0, 0]]) == entry_digits([]) == 1
 
 
 class TestStructuralTheorems:
