@@ -14,6 +14,13 @@ and there are three cases:
     [Q_j, Q_k]_n = -2 (H_j - H_k) h                 for j+k even and j != k
 
 Only the Q-Q case is a ``Fraction``; every other bracket is an ``int``.
+With H_i = N_i / D_i from the memoized harmonic numbers, the Q-Q case is
+
+    [Q_j, Q_k]_n = 2 (N_k D_j - N_j D_k) h / (D_j D_k),
+
+built in integers and normalized by one ``Fraction`` construction.
+
+A power that is not an ``int`` is a ``TypeError``, so no ``float`` leaks in.
 """
 
 from __future__ import annotations
@@ -28,20 +35,28 @@ __all__ = ["bracket", "bracket_decomposed"]
 
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
     """Exact value of [f, g]_n evaluated from -1 to 1."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int):
+            raise TypeError(f"bracket: n must be an int, got {type(n).__name__}")
         raise ValueError("bracket: n must be >= 1")
     j, k = f.index, g.index
     if f.kind == "Q" and g.kind == "Q":
         if j == k or (j + k) % 2:
             return 0
-        factor = -2 * (harmonic(j) - harmonic(k))
     elif f.kind == g.kind or (j + k) % 2 == 0:
         return 0
-    else:
-        factor = 2 if f.kind == "P" else -2
     # j != k here, so a != b and the division is exact
     a, b = j * (j + 1), k * (k + 1)
-    return factor * ((a**n - b**n) // (a - b))
+    h = (a**n - b**n) // (a - b)
+    if f.kind == "P":
+        return 2 * h
+    if g.kind == "P":
+        return -2 * h
+    hj, hk = harmonic(j), harmonic(k)
+    return Fraction(
+        2 * (hk.numerator * hj.denominator - hj.numerator * hk.denominator) * h,
+        hj.denominator * hk.denominator,
+    )
 
 
 def bracket_decomposed(
@@ -53,7 +68,9 @@ def bracket_decomposed(
     eigen-gap (j == k) or through orthogonality before any inner product is
     consulted.
     """
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int):
+            raise TypeError(f"bracket_decomposed: n must be an int, got {type(n).__name__}")
         raise ValueError("bracket_decomposed: n must be >= 1")
     j, k = f.index, g.index
     if (f.kind == "P" and g.kind == "P") or f == g:

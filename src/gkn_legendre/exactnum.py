@@ -76,7 +76,9 @@ def harmonic2(k: int) -> Fraction:
 
 def eigenvalue(k: int, n: int) -> int:
     """(k(k+1))**n, the eigenvalue of the n-th operator power at index k."""
-    if k < 0 or n < 1:
+    if k < 0 or not isinstance(n, int) or n < 1:
+        if not isinstance(n, int):
+            raise TypeError(f"eigenvalue: n must be an int, got {type(n).__name__}")
         raise ValueError("eigenvalue: need k >= 0 and n >= 1")
     return (k * (k + 1)) ** n
 

@@ -56,7 +56,9 @@ class IndexSelection:
     def __post_init__(self):
         object.__setattr__(self, "p_indices", tuple(self.p_indices))
         object.__setattr__(self, "q_indices", tuple(self.q_indices))
-        if self.power < 1:
+        if not isinstance(self.power, int) or self.power < 1:
+            if not isinstance(self.power, int):
+                raise TypeError(f"IndexSelection: power must be an int, got {type(self.power).__name__}")
             raise ValueError("power must be >= 1")
         for name, idx in (("p_indices", self.p_indices), ("q_indices", self.q_indices)):
             if any(i < 0 for i in idx):
@@ -161,8 +163,8 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     The determinant is 0 unless the matrix is square of full rank, where it
     is the last pivot up to the sign of the row swaps.  The empty matrix has
     rank 0 and determinant 1.  This is the only elimination loop:
-    ``rank_exact`` runs it on the pieces of each block of the nonzero
-    pattern, ``det_exact`` once on the whole matrix.
+    ``rank_exact`` runs it on each piece that its splitting rule leaves,
+    ``det_exact`` once on the whole matrix.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1

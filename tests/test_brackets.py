@@ -1,10 +1,12 @@
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction
+from gkn_legendre.exactnum import harmonic
+from gkn_legendre.matrices import build_matrix, canonical_selection
 
 
 def P(i):
@@ -99,3 +101,44 @@ class TestStructuralProperties:
     def test_power_validation(self):
         with pytest.raises(ValueError):
             bracket(P(0), Q(1), 0)
+
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    @pytest.mark.parametrize("fn", [bracket, bracket_decomposed])
+    def test_inexact_power_is_a_type_error(self, fn, n):
+        with pytest.raises(TypeError, match=f"{fn.__name__}: .*got {type(n).__name__}"):
+            fn(Q(1), Q(3), n)
+
+
+class TestQQ:
+    """The Q-Q case against -2 (H_j - H_k) h in Fraction arithmetic, at the
+    sizes the suites reach: canonical n <= 24, and indices up to 178 at n = 4
+    (the large B4 selection)."""
+
+    H = list(accumulate((Fraction(1, i) for i in range(1, 179)), initial=Fraction(0)))
+
+    @pytest.mark.parametrize("top,powers", [(48, range(1, 25)), (178, (4,))])
+    def test_values_and_types(self, top, powers):
+        for n, j, k in product(powers, range(top + 1), range(top + 1)):
+            value = bracket(Q(j), Q(k), n)
+            if j == k or (j + k) % 2:
+                assert type(value) is int and value == 0
+                continue
+            a, b = j * (j + 1), k * (k + 1)
+            assert type(value) is Fraction
+            assert value == -2 * (self.H[j] - self.H[k]) * Fraction(a**n - b**n, a - b)
+
+    def test_one_fraction_per_entry(self, monkeypatch):
+        # a Q-Q entry is built in integers and normalized once; Fraction
+        # arithmetic, which goes through __new__ under Python 3.11, would
+        # construct three per entry (72 here)
+        harmonic(40)
+        new, made = Fraction.__new__, []
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        m = build_matrix(canonical_selection(8))
+        monkeypatch.undo()
+        assert len(made) == sum(type(x) is Fraction for row in m.entries for x in row) == 24

@@ -59,6 +59,11 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             eigenvalue(-1, 2)
 
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    def test_inexact_power_is_a_type_error(self, n):
+        with pytest.raises(TypeError, match=f"eigenvalue: .*got {type(n).__name__}"):
+            eigenvalue(2, n)
+
 
 class TestLegendreStirling:
     def test_base_cases(self):

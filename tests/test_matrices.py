@@ -35,6 +35,11 @@ class TestSelection:
         with pytest.raises(ValueError):
             IndexSelection((0,), (1,), 0)
 
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    def test_inexact_power_is_a_type_error(self, n):
+        with pytest.raises(TypeError, match=f"IndexSelection: .*got {type(n).__name__}"):
+            IndexSelection((0, 1), (0, 1), n)
+
     def test_key(self):
         assert canonical_selection(3).key() == "n=3;P=0,1,2;Q=1,2,3"
 
