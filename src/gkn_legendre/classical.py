@@ -167,7 +167,9 @@ class ClassicalFunction:
     def __post_init__(self):
         if self.kind not in ("P", "Q"):
             raise ValueError(f"kind must be 'P' or 'Q', got {self.kind!r}")
-        if self.index < 0:
+        if not isinstance(self.index, int) or self.index < 0:
+            if not isinstance(self.index, int):
+                raise TypeError(f"ClassicalFunction: index must be an int, got {type(self.index).__name__}")
             raise ValueError("index must be >= 0")
 
     def __str__(self) -> str:

@@ -8,13 +8,15 @@ and no magnitude wall.
 
 The rank splits off rows R whose nonzeros all lie in a column set S, so that
 the matrix is [[X, 0], [Y, Z]] with X = M[R, S] of full column rank: X clears
-Y, and the rank is |S| + rank Z.  In a skew matrix (M = -M^T) rows and
-columns R and S split off together, for rank 2|S|: M[S, R] = -X^T clears the
-rest of rows S, and R and S are disjoint because the diagonal is zero.  What
-no such R splits is eliminated whole; only the pieces eliminated are scaled
-to integers.  A bracket matrix is skew, as the form of Green's formula is,
-and splits so because brackets of opposite parity and P-P brackets vanish,
-but the rule is exact for every matrix.
+Y, and the rank is |S| + rank Z.  Where the rows and the columns in play
+are one index set and columns R are minus rows R (M[i, j] = -M[j, i] for j
+in R, checked on the values at the split), rows and columns R and S split
+off together, for rank 2|S|: M[S, R] = -X^T clears the rest of rows S, and
+the zero M[r, r] of the row r whose nonzeros span S keeps R and S disjoint.
+What no such R splits is eliminated whole; only the pieces eliminated are
+scaled to integers.  A bracket matrix is skew, as the form of Green's
+formula is, and splits in pairs because brackets of opposite parity and P-P
+brackets vanish, but the rule is exact for every matrix.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress
-from operator import eq, neg
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -61,8 +62,11 @@ class IndexSelection:
                 raise TypeError(f"IndexSelection: power must be an int, got {type(self.power).__name__}")
             raise ValueError("power must be >= 1")
         for name, idx in (("p_indices", self.p_indices), ("q_indices", self.q_indices)):
-            if any(i < 0 for i in idx):
-                raise ValueError(f"{name}: indices must be >= 0")
+            for i in idx:
+                if not isinstance(i, int):
+                    raise TypeError(f"IndexSelection: {name} must be ints, got {type(i).__name__}")
+                if i < 0:
+                    raise ValueError(f"{name}: indices must be >= 0")
             if list(idx) != sorted(set(idx)):
                 raise ValueError(f"{name}: indices must be strictly increasing")
 
@@ -203,26 +207,24 @@ def rank_exact(matrix) -> int:
     |S| is taken, and the rule repeats on Z; what is left when none is found
     is eliminated in one piece.
 
-    If M is skew (M = -M^T, tested once, on the values), each split takes
-    rows and columns R and S together and adds 2|S|.  Rows R are zero
-    outside columns S, so by skewness columns R are zero outside rows S, and
-    M[S, R] = -X^T has full row rank |S|: column operations clear the rest
-    of rows S, and what is left is M[T, T] for the indices T outside R and S,
-    still principal and skew.  R and S are disjoint without a test: S is the
-    mask of a row r in play, and r is not in S as M[r, r] = 0, so each i in S
-    has the nonzero M[i, r] = -M[r, i] outside S and is not in R.  Each piece
-    is scaled to integers just before its elimination.
+    When the rows in play and the columns in play are the same index set,
+    and M[i, j] = -M[j, i] for every j in R and every row i in play (checked
+    on the values at each split), the split takes rows and columns R and S
+    together and adds 2|S|.  Rows R are zero outside columns S, so columns R
+    are zero outside rows S, and M[S, R] = -X^T has full row rank |S|:
+    column operations clear the rest of rows S, and what is left is M[T, T]
+    for the indices T outside R and S, again one index set for rows and
+    columns.  R and S are disjoint: S is the mask of a row r in R, the check
+    gives M[r, r] = 0, so r is not in S, and each i in S has the nonzero
+    M[i, r] = -M[r, i] outside S and is not in R.  A skew matrix passes the
+    check at every split; where it fails, rows R leave alone.  Each piece is
+    scaled to integers just before its elimination.
     """
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rank_exact: rows differ in length")
     if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
         _integer_rows(matrix)  # names the first entry that is neither
-    ncols = len(matrix[0]) if matrix else 0
-    skew = len(matrix) == ncols and all(
-        all(map(eq, row[i:], map(neg, col[i:])))  # M[i, j] = -M[j, i] for j >= i
-        for i, (row, col) in enumerate(zip(matrix, zip(*matrix)))
-    )
-    bits = [1 << j for j in range(ncols)]
+    bits = [1 << j for j in range(len(matrix[0]) if matrix else 0)]
     masks = [sum(compress(bits, row)) for row in matrix]
 
     def rank_of(part, mask):
@@ -239,7 +241,9 @@ def rank_exact(matrix) -> int:
         else:
             return rank + rank_of(rows, cols)
         rank += k
-        if skew:  # R and S leave as rows and as columns
+        if cols == sum(1 << i for i in rows) and all(
+            matrix[i][j] == -matrix[j][i] for j in tight for i in rows
+        ):  # columns R are -(rows R): R and S leave as rows and as columns
             rank += k
             s |= sum(bits[i] for i in tight)
             tight = [i for i in rows if s >> i & 1]

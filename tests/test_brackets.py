@@ -108,6 +108,11 @@ class TestStructuralProperties:
         with pytest.raises(TypeError, match=f"{fn.__name__}: .*got {type(n).__name__}"):
             fn(Q(1), Q(3), n)
 
+    @pytest.mark.parametrize("i", [1.0, Fraction(1)])
+    def test_inexact_index_is_a_type_error(self, i):
+        with pytest.raises(TypeError, match=f"ClassicalFunction: .*got {type(i).__name__}"):
+            ClassicalFunction("P", i)
+
 
 class TestQQ:
     """The Q-Q case against -2 (H_j - H_k) h in Fraction arithmetic, at the

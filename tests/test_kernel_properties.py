@@ -3,10 +3,11 @@
 ``rank_exact`` and ``det_exact`` are compared with a plain Gauss-Jordan
 elimination over ``Fraction`` written here, on small random matrices of
 ``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal and
-block-triangular ones whose rows and columns are shuffled, and on skew ones
-shuffled by one permutation of both; the rank's
-elimination is pinned to the pieces its splitting rule finds, the
-determinant's to one pass.  The structural identities of the bracket
+block-triangular ones whose rows and columns are shuffled, and on ones skew
+about a pair split, skew or not elsewhere, shuffled by one permutation of
+both; the rank's elimination is pinned to the pieces its splitting rule
+finds, on canonical and sweep-sized bracket matrices too, the determinant's
+to one pass.  The structural identities of the bracket
 matrices are checked on random r = s = n selections, with the sign law of
 the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
 construction (``int`` numerators over one den that shares no content with
@@ -32,6 +33,8 @@ from gkn_legendre.matrices import (
     build_matrix,
     canonical_selection,
     det_exact,
+    enumerate_selections,
+    parity_census,
     rank_exact,
 )
 from gkn_legendre.oracle import (
@@ -177,8 +180,9 @@ def test_block_triangular_rank_matches_reference(m):
 def conjugated_skew_triangulars(draw):
     """[[0, X, 0], [-X^T, C, D], [0, -D^T, E]] with C and E skew, X of any
     shape and sometimes short of full column rank, then rows and columns
-    permuted by one permutation, which keeps the matrix skew.  Entries are
-    ints, Fractions or 0."""
+    permuted by one permutation.  Sometimes the skewness breaks outside the
+    split of R: one entry of D's mirror is not that of -D^T, or one diagonal
+    entry of E is drawn.  Entries are ints, Fractions or 0."""
     a, b, c = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
     entry = st.integers(-9, 9) | rationals | st.just(0)
     x = [[draw(entry) for _ in range(b)] for _ in range(a)]
@@ -198,24 +202,36 @@ def conjugated_skew_triangulars(draw):
             elif part[i] == part[j] != 0:  # C or E
                 m[i][j] = draw(entry)
             m[j][i] = -m[i][j]
+    broken = draw(st.sampled_from(["none", "mirror", "diagonal"]))
+    if broken == "mirror" and b and c:
+        m[draw(st.integers(a + b, n - 1))][draw(st.integers(a, a + b - 1))] = draw(entry)
+    elif broken == "diagonal" and c:
+        i = draw(st.integers(a + b, n - 1))
+        m[i][i] = draw(entry)
     order = draw(st.permutations(range(n)))
     return [[m[i][j] for j in order] for i in order]
 
 
 @settings(max_examples=300, deadline=None)
 @example([[0, 0, 1, 1], [0, 0, 1, 2], [-1, -1, 0, 0], [-1, -2, 0, 0]])  # one pair split on a 2 x 2 X: rank 4
+@example([[0, 1, 0], [-1, 0, 1], [0, 2, 3]])  # a pair split, then E = [3] off -D^T: rank 3
 @given(conjugated_skew_triangulars())
 def test_skew_rank_matches_reference(m):
     assert rank_exact(m) == reference_rank_det(m)[0]
 
 
 def test_pair_split_reads_values():
-    """The pair split needs M = -M^T in value: a symmetric matrix with a
-    skew zero pattern, a non-skew matrix with a zero diagonal, and one that
-    is skew off its nonzero diagonal all take the one-sided rule."""
-    assert rank_exact([[0, 0, 1, 1], [0, 0, 1, 2], [1, 1, 0, 0], [1, 1, 0, 0]]) == 3
+    """Rows and columns R and S leave together only if the rows and columns
+    in play are one index set and M[i, j] = -M[j, i] in value for every j in
+    R and every row i in play, the diagonal included; otherwise rows R leave
+    alone.  Each matrix here fails that check at a split, and a pair split
+    there would give the wrong rank."""
+    assert rank_exact([[0, 0, 1, 1], [0, 0, 1, 2], [1, 1, 0, 0], [1, 1, 0, 0]]) == 3  # skew zeros, symmetric values
     assert rank_exact([[0, 1], [0, 0]]) == 1
     assert rank_exact([[1, -1, 0], [1, 0, 2], [0, -2, 0]]) == 3  # R and S would meet
+    assert rank_exact([[0, 1, 2], [-1, -1, 0], [-2, 0, 0]]) == 3  # skew but for M[1, 1], with 1 in R and S
+    assert rank_exact([[0, 2], [-2, 1], [0, 1], [0, 0], [0, 0]]) == 2  # rows in play are not the columns
+    assert rank_exact([[0, 0, 2, Fraction(-2, 3), 0]] + [[0] * 5 for _ in range(4)]) == 1  # S empty, column R not -(row R)
 
 
 def kernel_cells(m, rank):
@@ -229,7 +245,9 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     """Canonical n = 32 reaches the elimination as two 16 x 16 blocks: the
     rows of each parity block of B split off, and with them, as the matrix is
     skew, the rows and columns of its -B^T, which are not eliminated; canonical
-    n <= 24 costs 6358 cell updates.  Rows whose nonzeros lie in fewer
+    n <= 24 costs 6358 cell updates.  The sweep's n = 3, pool 7 matrices take
+    2336 pieces and 1312 cells (the 1184 balanced ones) and 3488 pieces and
+    15848 cells (the 1952 unbalanced ones).  Rows whose nonzeros lie in fewer
     columns than there are rows split off too, and a row set whose X is short
     of full column rank is passed over for the next one.  A matrix with no
     zero entry reaches it once, whole, and so does every matrix whose
@@ -271,6 +289,15 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
         rank_exact(build_matrix(canonical_selection(n)).entries)
     assert all(calls)
     assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == 6358
+    sweep = list(enumerate_selections(3, 7, parity_filter=False))
+    for balanced, count, pieces, cells in ((True, 1184, 2336, 1312), (False, 1952, 3488, 15848)):
+        calls.clear()
+        family = [sel for sel in sweep if (parity_census(sel) == (3, 3)) == balanced]
+        assert len(family) == count
+        for sel in family:
+            rank_exact(build_matrix(sel).entries)
+        assert all(calls) and len(calls) == pieces
+        assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == cells
 
 
 def test_empty_matrix():

@@ -40,6 +40,13 @@ class TestSelection:
         with pytest.raises(TypeError, match=f"IndexSelection: .*got {type(n).__name__}"):
             IndexSelection((0, 1), (0, 1), n)
 
+    @pytest.mark.parametrize("i", [1.0, Fraction(1)])
+    def test_inexact_index_is_a_type_error(self, i):
+        with pytest.raises(TypeError, match=f"IndexSelection: p_indices .*got {type(i).__name__}"):
+            IndexSelection((0, i), (0, 1), 2)
+        with pytest.raises(TypeError, match=f"IndexSelection: q_indices .*got {type(i).__name__}"):
+            IndexSelection((0, 1), (0, i), 2)
+
     def test_key(self):
         assert canonical_selection(3).key() == "n=3;P=0,1,2;Q=1,2,3"
 
