@@ -30,6 +30,16 @@ The boundary form, the Lagrangian expansion of the operator power and the
 endpoint conditions read the same chains, built by ``_lagrangian_chains``:
 f, ..., f^(n) and, for each Lagrangian coefficient a_k = LS(n,k) (1-x**2)**k,
 (a_k f^(k))^(i) for i < k.
+
+A value is put into canonical form only where a caller reads it.  The
+boundary form multiplies each chain pair straight into plain ``int``
+coefficient lists (``_multiply_into``, the one product loop, which
+``LogRat * LogRat`` uses too), grouped by the product's denominator; each
+group is lifted once to the common denominator and the sum becomes one
+``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative`` builds
+each new numerator N_m = sum c_i x**i in one pass over its coefficients:
+coefficient i is (i+1) c_(i+1) + (a-b) c_i + (a+b+1-i) c_(i-1) plus
+(m+1) times coefficient i of N_(m+1).
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from .exactnum import legendre_stirling
@@ -57,9 +67,7 @@ __all__ = [
     "classical_to_lograt",
 ]
 
-_ONE_MINUS_X = Poly([1, -1])
-_ONE_PLUS_X = Poly([1, 1])
-_ONE_MINUS_X2 = _ONE_MINUS_X * _ONE_PLUS_X
+_ONE_MINUS_X2 = Poly([1, 0, -1])
 # suffixes naming the powers L**0, L**1, L**2
 _POWER_TEXT = ("", " * ln((1+x)/(1-x))/2", " * (ln((1+x)/(1-x))/2)^2")
 _POWER_NAME = ("", " * L", " * L^2")
@@ -67,6 +75,22 @@ _POWER_NAME = ("", " * L", " * L^2")
 
 class DivergentLimit(ValueError):
     """An endpoint limit does not exist; its message names the leading term."""
+
+
+def _divided(nums: tuple[Poly, ...], t: int) -> tuple[Poly, ...] | None:
+    """Each numerator divided by (1 - t x), t = +-1, or None unless all vanish
+    at x = t.  N = (1 - t x) Q gives Q_i = N_i + t Q_(i-1) in one pass; the
+    last value of that recurrence is the remainder."""
+    quotients = []
+    for p in nums:
+        q, acc = [], 0
+        for c in p.coeffs:
+            acc = c + t * acc
+            q.append(acc)
+        if acc:
+            return None
+        quotients.append(Poly(q))
+    return tuple(quotients)
 
 
 @dataclass(frozen=True)
@@ -78,6 +102,9 @@ class LogRat:
     given to the constructor is cleared into ``den``), ``den`` shares no
     factor with all of them, the numerators share no (1 -+ x) factor with
     the denominator, and zero is stored as three zero numerators over 1.
+    The pole exponents and ``den`` are ``int``s, the exponents >= 0 and
+    ``den`` >= 1; any other coefficient than an ``int`` or a ``Fraction``
+    is a ``TypeError``.
     """
 
     nums: tuple[Poly, ...] = ()
@@ -90,13 +117,19 @@ class LogRat:
         if len(nums) > 3:
             raise ValueError("LogRat: degree in L(x) exceeds 2")
         a, b, den = self.pow_one_minus, self.pow_one_plus, self.den
-        if den < 1:
-            raise ValueError("LogRat: den must be >= 1")
+        for name, value, least in (("pow_one_minus", a, 0), ("pow_one_plus", b, 0), ("den", den, 1)):
+            if type(value) is not int:
+                raise TypeError(f"LogRat: {name} must be an int, got {type(value).__name__}")
+            if value < least:
+                raise ValueError(f"LogRat: {name} must be >= {least}")
         # clear Fraction coefficients into den, once
         fractional, scale = False, 1
         for p in nums:
             for c in p.coeffs:
                 if type(c) is not int:
+                    if not isinstance(c, (int, Fraction)):
+                        kind = type(c).__name__
+                        raise TypeError(f"LogRat: coefficients must be int or Fraction, got {kind}")
                     fractional, scale = True, lcm(scale, c.denominator)
         if fractional:
             nums = tuple(Poly([c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in nums)
@@ -112,13 +145,11 @@ class LogRat:
                 den //= g
         if not any(nums):
             a = b = 0
-        # cancel (1-x) factors: num = (1-x) q  <=>  num = -(x-1) q
-        while a > 0 and all(p(1) == 0 for p in nums):
-            nums = tuple(-p.deflate(1) for p in nums)
-            a -= 1
-        while b > 0 and all(p(-1) == 0 for p in nums):
-            nums = tuple(p.deflate(-1) for p in nums)
-            b -= 1
+        # cancel (1-x) and (1+x) factors while all three numerators vanish there
+        while a > 0 and (quotients := _divided(nums, 1)):
+            nums, a = quotients, a - 1
+        while b > 0 and (quotients := _divided(nums, -1)):
+            nums, b = quotients, b - 1
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "pow_one_minus", a)
         object.__setattr__(self, "pow_one_plus", b)
@@ -128,67 +159,48 @@ class LogRat:
         """The coefficient of L**m, as a function of its own."""
         return LogRat((self.nums[m],), self.pow_one_minus, self.pow_one_plus, self.den)
 
-    def _lifted(self, a: int, b: int, den: int) -> tuple[Poly, ...]:
-        """The numerators over the denominator den (1-x)**a (1+x)**b."""
-        scale = den // self.den
-        if (a, b) == (self.pow_one_minus, self.pow_one_plus):
-            if scale == 1:
-                return self.nums
-            factor = scale
-        else:
-            factor = _ONE_MINUS_X ** (a - self.pow_one_minus) * _ONE_PLUS_X ** (b - self.pow_one_plus)
-            if scale != 1:
-                factor = factor * scale
-        return tuple(p * factor if p else p for p in self.nums)
-
-    def _combine(self, other: "LogRat", op) -> "LogRat":
-        """``op`` (add or sub) of the numerators lifted to the least common denominator."""
-        a = max(self.pow_one_minus, other.pow_one_minus)
-        b = max(self.pow_one_plus, other.pow_one_plus)
-        den = lcm(self.den, other.den)
-        nums = zip(self._lifted(a, b, den), other._lifted(a, b, den))
-        return LogRat(tuple(op(p, q) for p, q in nums), a, b, den)
+    def _summand(self, sign: int) -> tuple:
+        """sign * self as a term of ``_sum``."""
+        nums = [[sign * c for c in p.coeffs] for p in self.nums]
+        return nums, self.pow_one_minus, self.pow_one_plus, self.den
 
     def __add__(self, other: "LogRat") -> "LogRat":
-        return self._combine(other, add)
+        return _sum([self._summand(1), other._summand(1)])
 
     def __neg__(self) -> "LogRat":
         return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus, self.den)
 
     def __sub__(self, other: "LogRat") -> "LogRat":
-        return self._combine(other, sub)
+        return _sum([self._summand(1), other._summand(-1)])
 
     def __mul__(self, other) -> "LogRat":
         a, b = self.pow_one_minus, self.pow_one_plus
         if not isinstance(other, LogRat):
             return LogRat(tuple(p * other if p else p for p in self.nums), a, b, self.den)
-        nums = [Poly.ZERO] * 3
-        for i, p in enumerate(self.nums):
-            for j, q in enumerate(other.nums):
-                if p and q:
-                    if i + j > 2:
-                        raise ValueError("product would exceed degree 2 in L(x)")
-                    nums[i + j] = nums[i + j] + p * q
-        return LogRat(tuple(nums), a + other.pow_one_minus, b + other.pow_one_plus, self.den * other.den)
+        nums = [[], [], []]
+        _multiply_into(nums, self, other, 1)
+        a, b = a + other.pow_one_minus, b + other.pow_one_plus
+        return LogRat(tuple(map(Poly, nums)), a, b, self.den * other.den)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "LogRat":
         # (N/D)' = (N'(1-x**2) + N (a(1+x) - b(1-x))) / (D (1-x**2)), and
-        # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2)
+        # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2): coefficient i
+        # of the new N_m is (i+1) c_{i+1} + (a-b) c_i + (a+b+1-i) c_{i-1} + (m+1) N_{m+1}[i]
         a, b = self.pow_one_minus, self.pow_one_plus
-        slope = Poly([a - b, a + b])
-        carry = [(m + 1) * p if p else p for m, p in enumerate(self.nums[1:])] + [Poly.ZERO]
+        slope, tilt = a - b, a + b + 1
         nums = []
-        for p, c in zip(self.nums, carry):
-            # a zero factor adds nothing: a constant's N', or the slope at a = b = 0
-            if p:
-                dp = p.derivative()
-                if dp:
-                    c = c + dp * _ONE_MINUS_X2
-                if slope:
-                    c = c + p * slope
-            nums.append(c)
+        for m, p in enumerate(self.nums):
+            c = [0, *p.coeffs, 0, 0]
+            triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
+            new = [(i + 1) * hi + slope * mid + (tilt - i) * lo for i, (lo, mid, hi) in triples]
+            if m < 2 and self.nums[m + 1]:
+                carry = self.nums[m + 1].coeffs
+                new.extend([0] * (len(carry) - len(new)))
+                for i, e in enumerate(carry):
+                    new[i] += (m + 1) * e
+            nums.append(Poly(new))
         return LogRat(tuple(nums), a + 1, b + 1, self.den)
 
     def order_at(self, at: str) -> tuple[int, ...]:
@@ -218,6 +230,47 @@ class LogRat:
                 s = f"{num} / ({den})" if den else num
                 parts.append(f"[{s}]{_POWER_TEXT[m]}" if m else s)
         return " + ".join(parts) if parts else "0"
+
+
+def _multiply_into(acc: list[list[int]], x: LogRat, y: LogRat, sign: int) -> None:
+    """Add sign * (the numerators of x times those of y) into ``acc``, the
+    coefficient lists of L**0, L**1 and L**2; the module's one product loop."""
+    for i, p in enumerate(x.nums):
+        if not p:
+            continue
+        for j, q in enumerate(y.nums):
+            if not q:
+                continue
+            if i + j > 2:
+                raise ValueError("product would exceed degree 2 in L(x)")
+            out, qs = acc[i + j], q.coeffs
+            out.extend([0] * (len(p.coeffs) + len(qs) - 1 - len(out)))
+            for s, c in enumerate(p.coeffs):
+                if c:
+                    c *= sign
+                    out[s : s + len(qs)] = [o + c * d for o, d in zip(out[s : s + len(qs)], qs)]
+
+
+def _sum(terms: list[tuple]) -> LogRat:
+    """The sum of terms (nums, a, b, den), with nums the coefficient lists of
+    L**0, L**1 and L**2 over den (1-x)**a (1+x)**b: each term lifted once to
+    the common denominator, and the sum put into canonical form once."""
+    a = max(term[1] for term in terms)
+    b = max(term[2] for term in terms)
+    den = lcm(*(term[3] for term in terms))
+    total = [[], [], []]
+    for nums, ta, tb, tden in terms:
+        for out, cs in zip(total, nums):
+            if not cs:
+                continue
+            if den != tden:
+                cs = [c * (den // tden) for c in cs]
+            # times (1-x)**(a - ta) (1+x)**(b - tb), one factor per pass
+            for sign in [-1] * (a - ta) + [1] * (b - tb):
+                cs = [c + sign * d for c, d in zip([*cs, 0], [0, *cs])]
+            out.extend([0] * (len(cs) - len(out)))
+            out[: len(cs)] = map(add, out, cs)
+    return LogRat(tuple(map(Poly, total)), a, b, den)
 
 
 def classical_to_lograt(f: ClassicalFunction) -> LogRat:
@@ -285,12 +338,15 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     """
     fder, fchains = _lagrangian_chains(f, n)
     gder, gchains = _lagrangian_chains(g, n)
-    total = LogRat()
+    # the products' numerators, summed per product denominator (a, b, den)
+    groups: dict[tuple[int, int, int], list[list[int]]] = {}
     for k, (fchain, gchain) in enumerate(zip(fchains, gchains), 1):
         for j in range(1, k + 1):
-            term = gchain[k - j] * fder[j - 1] - fchain[k - j] * gder[j - 1]
-            total = total + term if (k + j) % 2 == 0 else total - term
-    return total
+            sign = 1 if (k + j) % 2 == 0 else -1
+            for x, y, s in ((gchain[k - j], fder[j - 1], sign), (fchain[k - j], gder[j - 1], -sign)):
+                key = (x.pow_one_minus + y.pow_one_minus, x.pow_one_plus + y.pow_one_plus, x.den * y.den)
+                _multiply_into(groups.setdefault(key, [[], [], []]), x, y, s)
+    return _sum([(acc, *key) for key, acc in groups.items()])
 
 
 def endpoint_limit(f: LogRat, at: str) -> Fraction:

@@ -13,12 +13,15 @@ the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to 
 construction (``int`` numerators over one den that shares no content with
 them, from ``int`` and ``Fraction`` input), with an equality that agrees
 with cross-multiplication, and its boundary form and brackets are checked to be antisymmetric on random
-pairs of classical functions.  Every exact value the engine returns is an
-``int`` or a ``Fraction``, never a ``float``.
+pairs of classical functions.  Its derivative and boundary form are compared
+with references built from ``Poly`` operations (a term-by-term canonical fold
+for the form), and the form is pinned to one canonical form per call.  Every
+exact value the engine returns is an ``int`` or a ``Fraction``, never a
+``float``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,9 +43,11 @@ from gkn_legendre.matrices import (
 from gkn_legendre.oracle import (
     DivergentLimit,
     LogRat,
+    _lagrangian_chains,
     bracket_via_oracle,
     classical_to_lograt,
     endpoint_limit,
+    lagrangian_coefficients,
     sesquilinear_at,
 )
 
@@ -480,3 +485,137 @@ def test_values_stay_exact(f, g, n):
         q = legendre_q(h.index)
         values += legendre_p(h.index).coeffs + q.log_coeff.coeffs + q.poly_part.coeffs
     assert all(map(is_exact, values)), values
+
+
+# The oracle's arithmetic against references written with Poly operations:
+# sums over the least common denominator, products, the derivative assembled
+# from N', N' (1-x**2) and N * slope, and the boundary form as a fold that
+# puts every product and partial sum into canonical form.
+
+ONE_MINUS_X2 = ONE_MINUS_X * ONE_PLUS_X
+
+
+def reference_derivative(e):
+    a, b = e.pow_one_minus, e.pow_one_plus
+    slope = Poly([a - b, a + b])
+    carry = [(m + 1) * p for m, p in enumerate(e.nums[1:])] + [Poly.ZERO]
+    nums = [c + p.derivative() * ONE_MINUS_X2 + p * slope for p, c in zip(e.nums, carry)]
+    return LogRat(nums, a + 1, b + 1, e.den)
+
+
+def reference_sum(x, y, sign):
+    """x + sign * y."""
+    a = max(x.pow_one_minus, y.pow_one_minus)
+    b = max(x.pow_one_plus, y.pow_one_plus)
+    den = lcm(x.den, y.den)
+
+    def lifted(e):
+        factor = ONE_MINUS_X ** (a - e.pow_one_minus) * ONE_PLUS_X ** (b - e.pow_one_plus) * (den // e.den)
+        return [p * factor for p in e.nums]
+
+    return LogRat([p + sign * q for p, q in zip(lifted(x), lifted(y))], a, b, den)
+
+
+def reference_product(x, y):
+    nums = [Poly.ZERO] * 3
+    for i, p in enumerate(x.nums):
+        for j, q in enumerate(y.nums):
+            if p and q:
+                if i + j > 2:
+                    raise ValueError("product would exceed degree 2 in L(x)")
+                nums[i + j] = nums[i + j] + p * q
+    a, b = x.pow_one_minus + y.pow_one_minus, x.pow_one_plus + y.pow_one_plus
+    return LogRat(nums, a, b, x.den * y.den)
+
+
+def reference_sesquilinear(f, g, n):
+    def chains(h):
+        derivs = [h]
+        for _ in range(n):
+            derivs.append(reference_derivative(derivs[-1]))
+        out = []
+        for k, a_k in lagrangian_coefficients(n):
+            chain = [derivs[k] * a_k]
+            for _ in range(k - 1):
+                chain.append(reference_derivative(chain[-1]))
+            out.append(chain)
+        return derivs, out
+
+    (fder, fchains), (gder, gchains) = chains(f), chains(g)
+    total = LogRat()
+    for k in range(1, n + 1):
+        for j in range(1, k + 1):
+            term = reference_sum(reference_product(gchains[k - 1][k - j], fder[j - 1]),
+                                 reference_product(fchains[k - 1][k - j], gder[j - 1]), -1)
+            total = reference_sum(total, term, (-1) ** (k + j))
+    return total
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@st.composite
+def lograts(draw):
+    """Canonical LogRats with L and L**2 terms, den > 1 and poles at either
+    or both ends, or classical P_k and Q_k."""
+    if draw(st.booleans()):
+        return classical_to_lograt(draw(pq_functions))
+    nums = draw(numerators)
+    return LogRat(nums, draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(LogRat([Poly([1, 2])], 1, 2, 3))  # den > 1, poles at both ends
+@example(LogRat([Poly.ZERO, Poly.ONE, Poly([0, 1])], 1, 0))  # L and L**2
+@given(lograts())
+def test_derivative_matches_reference(e):
+    assert e.derivative() == reference_derivative(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lograts(), lograts())
+def test_sum_and_product_match_reference(e, f):
+    assert e + f == reference_sum(e, f, 1)
+    assert e - f == reference_sum(e, f, -1)
+    assert outcome(lambda: e * f) == outcome(reference_product, e, f)
+
+
+@settings(max_examples=150, deadline=None)
+@example(classical_to_lograt(ClassicalFunction("Q", 3)), classical_to_lograt(ClassicalFunction("Q", 2)), 3)
+@example(LogRat([Poly([0, 1]), Poly.ZERO, Poly.ONE], 2, 1, 5), LogRat([Poly([1, 1])], 0, 2, 3), 2)
+@given(lograts(), lograts(), st.integers(1, 3))
+def test_boundary_form_matches_reference(f, g, n):
+    """The same form, or the same degree-2 ValueError, as the term-by-term fold."""
+    assert outcome(sesquilinear_at, f, g, n) == outcome(reference_sesquilinear, f, g, n)
+
+
+def test_boundary_form_of_log_squares_exceeds_degree_two():
+    log2 = LogRat((Poly.ZERO, Poly.ZERO, Poly.ONE))
+    with pytest.raises(ValueError, match="product would exceed degree 2 in L"):
+        sesquilinear_at(log2, log2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_canonical_form_per_boundary_form(n, monkeypatch):
+    # the boundary form's products are summed as integer coefficient lists
+    # and put into canonical form once; a fold over its terms would build a
+    # LogRat per product and per partial sum
+    f, g = classical_to_lograt(ClassicalFunction("Q", 3)), classical_to_lograt(ClassicalFunction("P", 2))
+    init, made = LogRat.__post_init__, []
+
+    def counting_init(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(LogRat, "__post_init__", counting_init)
+    _lagrangian_chains(f, n)
+    _lagrangian_chains(g, n)
+    chains = len(made)
+    sesquilinear_at(f, g, n)
+    monkeypatch.undo()
+    assert len(made) - 2 * chains == 1

@@ -295,6 +295,23 @@ class TestIntegerNumerators:
         with pytest.raises(ValueError, match="den must be >= 1"):
             LogRat((Poly.ONE,), 0, 0, den)
 
+    @pytest.mark.parametrize("field", ["pow_one_minus", "pow_one_plus"])
+    def test_pole_exponents_are_nonnegative_ints(self, field):
+        # a negative exponent would be a (1 -+ x) factor in the numerator,
+        # which the canonical form does not hold
+        with pytest.raises(ValueError, match=f"LogRat: {field} must be >= 0"):
+            LogRat((Poly.ONE,), **{field: -1})
+        with pytest.raises(TypeError, match=f"LogRat: {field} must be an int, got float"):
+            LogRat((Poly.ONE,), **{field: 1.0})
+        with pytest.raises(TypeError, match="LogRat: den must be an int, got Fraction"):
+            LogRat((Poly.ONE,), den=Fraction(2))
+
+    def test_float_coefficients_are_a_type_error(self):
+        with pytest.raises(TypeError, match="coefficients must be int or Fraction, got float"):
+            LogRat((Poly([0.5]),))
+        with pytest.raises(TypeError, match="coefficients must be int or Fraction, got float"):
+            classical_to_lograt(Q(2)) * 0.5
+
     def test_text_prints_rational_coefficients(self):
         q2 = classical_to_lograt(Q(2))
         assert q2.den == 2
