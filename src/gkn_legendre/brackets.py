@@ -19,8 +19,10 @@ With H_i = N_i / D_i from the memoized harmonic numbers, the Q-Q case is
     [Q_j, Q_k]_n = 2 (N_k D_j - N_j D_k) h / (D_j D_k),
 
 built in integers and normalized by one ``Fraction`` construction.
+``bracket`` reads each lam_i**n from one memo table per power n, extended on
+demand, and divides by lam_j - lam_k = (j - k)(j + k + 1).
 
-A power that is not an ``int`` is a ``TypeError``, so no ``float`` leaks in.
+A power that is not an ``int`` (a ``bool`` neither) is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -32,31 +34,37 @@ from .exactnum import eigenvalue, harmonic
 
 __all__ = ["bracket", "bracket_decomposed"]
 
+# lam_i**n for i = 0, 1, ... per power n; entries are immutable once written.
+_lam_powers: dict[int, list[int]] = {}
+
 
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
     """Exact value of [f, g]_n evaluated from -1 to 1."""
-    if not isinstance(n, int) or n < 1:
-        if not isinstance(n, int):
+    if type(n) is not int or n < 1:
+        if type(n) is not int:
             raise TypeError(f"bracket: n must be an int, got {type(n).__name__}")
         raise ValueError("bracket: n must be >= 1")
     j, k = f.index, g.index
-    if f.kind == "Q" and g.kind == "Q":
-        if j == k or (j + k) % 2:
+    if f.kind == g.kind:
+        if f.kind == "P" or j == k or (j + k) % 2:
             return 0
-    elif f.kind == g.kind or (j + k) % 2 == 0:
+    elif (j + k) % 2 == 0:
         return 0
-    # j != k here, so a != b and the division is exact
-    a, b = j * (j + 1), k * (k + 1)
-    h = (a**n - b**n) // (a - b)
+    try:
+        lam = _lam_powers[n]
+        lam_j, lam_k = lam[j], lam[k]
+    except (KeyError, IndexError):
+        lam = _lam_powers.setdefault(n, [])
+        lam.extend((i * (i + 1)) ** n for i in range(len(lam), max(j, k) + 1))
+        lam_j, lam_k = lam[j], lam[k]
+    # j != k here, so the divisor is lam_j - lam_k != 0 and the division exact
+    h = (lam_j - lam_k) // ((j - k) * (j + k + 1))
     if f.kind == "P":
         return 2 * h
     if g.kind == "P":
         return -2 * h
-    hj, hk = harmonic(j), harmonic(k)
-    return Fraction(
-        2 * (hk.numerator * hj.denominator - hj.numerator * hk.denominator) * h,
-        hj.denominator * hk.denominator,
-    )
+    (nj, dj), (nk, dk) = harmonic(j).as_integer_ratio(), harmonic(k).as_integer_ratio()
+    return Fraction(2 * (nk * dj - nj * dk) * h, dj * dk)
 
 
 def bracket_decomposed(
@@ -68,8 +76,8 @@ def bracket_decomposed(
     eigen-gap (j == k) or through orthogonality before any inner product is
     consulted.
     """
-    if not isinstance(n, int) or n < 1:
-        if not isinstance(n, int):
+    if type(n) is not int or n < 1:
+        if type(n) is not int:
             raise TypeError(f"bracket_decomposed: n must be an int, got {type(n).__name__}")
         raise ValueError("bracket_decomposed: n must be >= 1")
     j, k = f.index, g.index

@@ -167,8 +167,8 @@ class ClassicalFunction:
     def __post_init__(self):
         if self.kind not in ("P", "Q"):
             raise ValueError(f"kind must be 'P' or 'Q', got {self.kind!r}")
-        if not isinstance(self.index, int) or self.index < 0:
-            if not isinstance(self.index, int):
+        if type(self.index) is not int or self.index < 0:
+            if type(self.index) is not int:
                 raise TypeError(f"ClassicalFunction: index must be an int, got {type(self.index).__name__}")
             raise ValueError("index must be >= 0")
 

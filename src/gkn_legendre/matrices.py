@@ -14,9 +14,10 @@ in R, checked on the values at the split), rows and columns R and S split
 off together, for rank 2|S|: M[S, R] = -X^T clears the rest of rows S, and
 the zero M[r, r] of the row r whose nonzeros span S keeps R and S disjoint.
 What no such R splits is eliminated whole; only the pieces eliminated are
-scaled to integers.  A bracket matrix is skew, as the form of Green's
-formula is, and splits in pairs because brackets of opposite parity and P-P
-brackets vanish, but the rule is exact for every matrix.
+scaled, each to primitive integer rows.  A bracket matrix is skew, as the
+form of Green's formula is, and splits in pairs because brackets of
+opposite parity and P-P brackets vanish, but the rule is exact for every
+matrix.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -57,13 +58,13 @@ class IndexSelection:
     def __post_init__(self):
         object.__setattr__(self, "p_indices", tuple(self.p_indices))
         object.__setattr__(self, "q_indices", tuple(self.q_indices))
-        if not isinstance(self.power, int) or self.power < 1:
-            if not isinstance(self.power, int):
+        if type(self.power) is not int or self.power < 1:
+            if type(self.power) is not int:
                 raise TypeError(f"IndexSelection: power must be an int, got {type(self.power).__name__}")
             raise ValueError("power must be >= 1")
         for name, idx in (("p_indices", self.p_indices), ("q_indices", self.q_indices)):
             for i in idx:
-                if not isinstance(i, int):
+                if type(i) is not int:
                     raise TypeError(f"IndexSelection: {name} must be ints, got {type(i).__name__}")
                 if i < 0:
                     raise ValueError(f"{name}: indices must be >= 0")
@@ -124,11 +125,9 @@ class BracketMatrix:
 
 def build_matrix(sel: IndexSelection) -> BracketMatrix:
     """Populate the full bracket matrix for a selection, P-block first."""
-    labels = sel.labels
-    entries = tuple(
-        tuple(bracket(f, g, sel.power) for g in labels) for f in labels
-    )
-    return BracketMatrix(entries, labels, sel.power)
+    labels, n = sel.labels, sel.power
+    entries = tuple(tuple([bracket(f, g, n) for g in labels]) for f in labels)
+    return BracketMatrix(entries, labels, n)
 
 
 def b_block(sel: IndexSelection) -> list[list[int | Fraction]]:
@@ -145,14 +144,16 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
 
 
 def _integer_rows(matrix) -> tuple[list[list[int]], int]:
-    """Each row scaled to integers by the lcm of its denominators, and the
-    product of those scales, which divides the determinant back out.
+    """Each row scaled to plain ``int``s by the lcm of its denominators, and
+    the product of those scales, which divides the determinant back out; a
+    row whose denominators are all 1 only has its numerators read.
     Entries are ``int``s or ``Fraction``s; anything else is a ``TypeError``."""
     m, scale = [], 1
     for row in matrix:
         try:
             mult = math.lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (mult // x.denominator) for x in row])
+            m.append([x.numerator * (mult // x.denominator) for x in row] if mult > 1
+                     else [x.numerator for x in row])
         except AttributeError:
             bad = next(x for x in row if not isinstance(x, (int, Fraction)))
             raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}") from None
@@ -218,7 +219,9 @@ def rank_exact(matrix) -> int:
     gives M[r, r] = 0, so r is not in S, and each i in S has the nonzero
     M[i, r] = -M[r, i] outside S and is not in R.  A skew matrix passes the
     check at every split; where it fails, rows R leave alone.  Each piece is
-    scaled to integers just before its elimination.
+    scaled to primitive integer rows just before its elimination (its
+    denominators cleared, then each row divided by the gcd of its entries),
+    so no minor carries a row's content, about 2**n in a bracket matrix.
     """
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("rank_exact: rows differ in length")
@@ -229,7 +232,11 @@ def rank_exact(matrix) -> int:
 
     def rank_of(part, mask):
         js = [j for j in range(mask.bit_length()) if mask >> j & 1]
-        return _bareiss(_integer_rows([[matrix[i][j] for j in js] for i in part])[0])[0]
+        piece = _integer_rows([[matrix[i][j] for j in js] for i in part])[0]
+        for row in piece:  # primitive rows: a row's content only inflates the minors
+            if (g := math.gcd(*row)) > 1:
+                row[:] = [x // g for x in row]
+        return _bareiss(piece)[0]
 
     rows, cols, rank = range(len(matrix)), sum(bits), 0
     while rows:  # each pass splits off one R, with S the mask s
@@ -253,12 +260,13 @@ def rank_exact(matrix) -> int:
 
 
 def det_exact(matrix) -> int | Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix: an ``int`` when it is
+    integral, a ``Fraction`` otherwise."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
     m, scale = _integer_rows(matrix)
     det = _bareiss(m)[1]
-    return Fraction(det, scale) if det else 0
+    return det // scale if det % scale == 0 else Fraction(det, scale)
 
 
 def is_li_mod_dmin(sel: IndexSelection) -> bool:

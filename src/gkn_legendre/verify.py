@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import attrgetter
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -139,7 +140,8 @@ def suite_paper_tables() -> list[CheckResult]:
 def entry_digits(matrix) -> int:
     """Largest decimal magnitude among the entries (numerator digits); 1 for
     a matrix with no nonzero entry."""
-    return len(str(max((abs(x.numerator) for row in matrix for x in row), default=0)))
+    numerators = map(attrgetter("numerator"), filter(None, chain.from_iterable(matrix)))
+    return len(str(max(map(abs, numerators), default=0)))
 
 
 def suite_canonical(max_n: int = 32) -> list[CheckResult]:

@@ -3,6 +3,7 @@ from itertools import accumulate, product
 
 import pytest
 
+from gkn_legendre import brackets
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.exactnum import harmonic
@@ -102,13 +103,13 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             bracket(P(0), Q(1), 0)
 
-    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2), True])
     @pytest.mark.parametrize("fn", [bracket, bracket_decomposed])
     def test_inexact_power_is_a_type_error(self, fn, n):
         with pytest.raises(TypeError, match=f"{fn.__name__}: .*got {type(n).__name__}"):
             fn(Q(1), Q(3), n)
 
-    @pytest.mark.parametrize("i", [1.0, Fraction(1)])
+    @pytest.mark.parametrize("i", [1.0, Fraction(1), True, False])
     def test_inexact_index_is_a_type_error(self, i):
         with pytest.raises(TypeError, match=f"ClassicalFunction: .*got {type(i).__name__}"):
             ClassicalFunction("P", i)
@@ -147,3 +148,30 @@ class TestQQ:
         m = build_matrix(canonical_selection(8))
         monkeypatch.undo()
         assert len(made) == sum(type(x) is Fraction for row in m.entries for x in row) == 24
+
+
+class TestPowerTable:
+    """``bracket`` reads lam_i**n from a memo table per power n; its values
+    and types are those of the direct formula h = (a**n - b**n) // (a - b),
+    in whatever order powers and indices arrive."""
+
+    @staticmethod
+    def direct(f, g, n):
+        j, k = f.index, g.index
+        if j == k or f.kind == g.kind == "P" or ((j + k) % 2 == 1) == (f.kind == g.kind):
+            return 0
+        a, b = j * (j + 1), k * (k + 1)
+        h = (a**n - b**n) // (a - b)
+        if f.kind != g.kind:
+            return 2 * h if f.kind == "P" else -2 * h
+        return -2 * (harmonic(j) - harmonic(k)) * h
+
+    def test_interleaved_powers_and_growing_indices(self, monkeypatch):
+        monkeypatch.setattr(brackets, "_lam_powers", {})
+        # powers interleaved, and at n = 5, 2 and 24 a large index after small ones
+        for n, top in ((5, 3), (2, 6), (5, 8), (24, 4), (1, 9), (5, 60), (2, 2), (24, 61), (2, 45)):
+            funcs = [ClassicalFunction(kind, i) for kind in "PQ" for i in range(top + 1)]
+            for f, g in product(funcs, repeat=2):
+                value, expected = bracket(f, g, n), self.direct(f, g, n)
+                assert value == expected and type(value) is type(expected), (f, g, n)
+        assert sorted(brackets._lam_powers) == [1, 2, 5, 24]

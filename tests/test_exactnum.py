@@ -59,10 +59,15 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             eigenvalue(-1, 2)
 
-    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2), True])
     def test_inexact_power_is_a_type_error(self, n):
-        with pytest.raises(TypeError, match=f"eigenvalue: .*got {type(n).__name__}"):
+        with pytest.raises(TypeError, match=f"eigenvalue: n .*got {type(n).__name__}"):
             eigenvalue(2, n)
+
+    @pytest.mark.parametrize("k", [2.0, Fraction(3, 2), True])
+    def test_inexact_index_is_a_type_error(self, k):
+        with pytest.raises(TypeError, match=f"eigenvalue: k .*got {type(k).__name__}"):
+            eigenvalue(k, 2)
 
 
 class TestLegendreStirling:

@@ -5,10 +5,11 @@ elimination over ``Fraction`` written here, on small random matrices of
 ``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal and
 block-triangular ones whose rows and columns are shuffled, and on ones skew
 about a pair split, skew or not elsewhere, shuffled by one permutation of
-both; the rank's elimination is pinned to the pieces its splitting rule
-finds, on canonical and sweep-sized bracket matrices too, the determinant's
-to one pass.  The structural identities of the bracket
-matrices are checked on random r = s = n selections, with the sign law of
+both, and on all of these with rows scaled by large factors or entries as
+Fraction(k, 1); the rank's elimination is pinned to the pieces its splitting
+rule finds, on canonical and sweep-sized bracket matrices too, each of
+primitive ``int`` rows, the determinant's to one pass.  The structural
+identities of the bracket matrices are checked on random r = s = n selections, with the sign law of
 the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
 construction (``int`` numerators over one den that shares no content with
 them, from ``int`` and ``Fraction`` input), with an equality that agrees
@@ -303,6 +304,54 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
             rank_exact(build_matrix(sel).entries)
         assert all(calls) and len(calls) == pieces
         assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == cells
+
+
+@st.composite
+def scaled_matrices(draw):
+    """A matrix from the strategies above with each row multiplied by a large
+    factor (a 64-bit one times up to 2**64, as a bracket row carries about
+    2**n) and, if the matrix is square, sometimes each column by its row's
+    factor too, which keeps a skew matrix skew.  A row scaled alone may also
+    take the lcm of its denominators, and every entry may be turned into a
+    ``Fraction``: integral ones, and the whole matrix then, as Fraction(k, 1)."""
+    m = draw(matrices() | shuffled_block_diagonals() | shuffled_block_triangulars()
+             | conjugated_skew_triangulars())
+    factors = [draw(st.integers(1, 2**64)) << draw(st.integers(0, 64)) for _ in m]
+    if m and len(m) == len(m[0]) and draw(st.booleans()):
+        return [[fi * x * fj for x, fj in zip(row, factors)] for fi, row in zip(factors, m)]
+    if draw(st.booleans()):
+        factors = [f * lcm(*(Fraction(x).denominator for x in row)) for f, row in zip(factors, m)]
+    m = [[f * x for x in row] for f, row in zip(factors, m)]
+    return [[Fraction(x) for x in row] for row in m] if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None)
+@example([[Fraction(2**30), Fraction(2**31)], [Fraction(3 * 2**30), Fraction(5 * 2**30)]])
+@given(scaled_matrices())
+def test_rank_of_scaled_rows_matches_reference(m):
+    assert rank_exact(m) == reference_rank_det(m)[0]
+
+
+def test_kernel_sees_primitive_int_rows(monkeypatch):
+    """Every piece the rank hands to the elimination is of plain ``int`` rows,
+    each nonzero one with gcd 1: its denominators cleared, then its content
+    divided out.  The canonical rows carry content of 2**n and more."""
+    pieces, bareiss = [], kernel._bareiss
+
+    def spy(m):
+        pieces.append([list(row) for row in m])
+        return bareiss(m)
+
+    monkeypatch.setattr(kernel, "_bareiss", spy)
+    assert gcd(*b_block(canonical_selection(24))[0]) % 2**24 == 0
+    for n in range(1, 25):
+        rank_exact(build_matrix(canonical_selection(n)).entries)
+    for sel in enumerate_selections(3, 5, parity_filter=False):
+        rank_exact(build_matrix(sel).entries)
+    rank_exact([[Fraction(2), Fraction(4), 0], [Fraction(6, 5), Fraction(3, 5), 3], [0, 0, 1]])
+    rows = [row for m in pieces for row in m]
+    assert len(pieces) > 400 and all(type(x) is int for row in rows for x in row)
+    assert all(gcd(*row) == 1 for row in rows if any(row))
 
 
 def test_empty_matrix():

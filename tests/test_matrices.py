@@ -35,12 +35,17 @@ class TestSelection:
         with pytest.raises(ValueError):
             IndexSelection((0,), (1,), 0)
 
-    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2)])
+    @pytest.mark.parametrize("n", [2.0, Fraction(3, 2), True])
     def test_inexact_power_is_a_type_error(self, n):
         with pytest.raises(TypeError, match=f"IndexSelection: .*got {type(n).__name__}"):
             IndexSelection((0, 1), (0, 1), n)
 
-    @pytest.mark.parametrize("i", [1.0, Fraction(1)])
+    def test_bool_never_reaches_a_key(self):
+        # n=True;P=0;Q=True would be a corrupt ledger key
+        with pytest.raises(TypeError, match="got bool"):
+            IndexSelection((0,), (True,), True)
+
+    @pytest.mark.parametrize("i", [1.0, Fraction(1), True])
     def test_inexact_index_is_a_type_error(self, i):
         with pytest.raises(TypeError, match=f"IndexSelection: p_indices .*got {type(i).__name__}"):
             IndexSelection((0, i), (0, 1), 2)
@@ -97,6 +102,13 @@ class TestRankDet:
     def test_det_m4_identity(self):
         m = build_matrix(canonical_selection(4))
         assert det_exact(m.entries) == det_exact(b_block(canonical_selection(4))) ** 2
+
+    def test_det_is_an_int_when_integral(self):
+        assert type(det_exact([[2]])) is int and det_exact([[2]]) == 2
+        assert type(det_exact([])) is int and det_exact([]) == 1
+        assert type(det_exact([[Fraction(4, 2), 0], [0, Fraction(3, 2)]])) is int
+        assert det_exact([[Fraction(1, 2)]]) == Fraction(1, 2)
+        assert type(det_exact(b_block(canonical_selection(3)))) is int
 
     def test_rational_entries(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 15)]]

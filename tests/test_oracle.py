@@ -361,7 +361,7 @@ class TestLegendreStirlingCertification:
         sols = []
         for col in range(n):
             a_col = [row[:col] + [rhs[i]] + row[col + 1 :] for i, row in enumerate(a)]
-            sols.append(det_exact(a_col) / d)
+            sols.append(Fraction(det_exact(a_col), d))
         return sols
 
     @pytest.mark.parametrize("n", [1, 2, 3])
