@@ -19,8 +19,8 @@ With H_i = N_i / D_i from the memoized harmonic numbers, the Q-Q case is
     [Q_j, Q_k]_n = 2 (N_k D_j - N_j D_k) h / (D_j D_k),
 
 built in integers and normalized by one ``Fraction`` construction.
-``bracket`` reads each lam_i**n from one memo table per power n, extended on
-demand, and divides by lam_j - lam_k = (j - k)(j + k + 1).
+``bracket`` reads each lam_i**n from one memo table per power n, extended to a
+near index (a far one is computed, not stored), and divides by (j - k)(j + k + 1).
 
 A power that is not an ``int`` (a ``bool`` neither) is a ``TypeError``.
 """
@@ -55,8 +55,9 @@ def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fractio
         lam_j, lam_k = lam[j], lam[k]
     except (KeyError, IndexError):
         lam = _lam_powers.setdefault(n, [])
-        lam.extend((i * (i + 1)) ** n for i in range(len(lam), max(j, k) + 1))
-        lam_j, lam_k = lam[j], lam[k]
+        if max(j, k) <= 2 * len(lam) + 16:
+            lam.extend((i * (i + 1)) ** n for i in range(len(lam), max(j, k) + 1))
+        lam_j, lam_k = (lam[i] if i < len(lam) else (i * (i + 1)) ** n for i in (j, k))
     # j != k here, so the divisor is lam_j - lam_k != 0 and the division exact
     h = (lam_j - lam_k) // ((j - k) * (j + k + 1))
     if f.kind == "P":

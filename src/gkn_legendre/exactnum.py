@@ -54,10 +54,21 @@ _harmonic2: list[Fraction] = [Fraction(0)]
 _ls_rows: list[list[int]] = [[1]]
 
 
+def _inverse_sum(lo: int, hi: int) -> tuple[int, int]:
+    """sum 1/i over lo <= i < hi as (numerator, lcm of lo..hi-1), by halves."""
+    if hi - lo == 1:
+        return 1, lo
+    (a, b), (c, d) = _inverse_sum(lo, (lo + hi) // 2), _inverse_sum((lo + hi) // 2, hi)
+    m = math.lcm(b, d)
+    return a * (m // b) + c * (m // d), m
+
+
 def harmonic(k: int) -> Fraction:
     """H_k = sum_{i=1..k} 1/i, with H_0 = 0."""
     if k < 0:
         raise ValueError("harmonic: k must be >= 0")
+    if k > 2 * len(_harmonic) + 16:  # far past the table: summed by halves, not stored
+        return Fraction(*_inverse_sum(1, k + 1))
     while len(_harmonic) <= k:
         i = len(_harmonic)
         _harmonic.append(_harmonic[-1] + Fraction(1, i))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, compress
 
 from .brackets import bracket
@@ -45,6 +46,10 @@ __all__ = [
     "parity_census",
     "enumerate_selections",
 ]
+
+
+# one per (kind, index), called only with indices IndexSelection checked (True == 1 as a key)
+_label = cache(ClassicalFunction)
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,8 @@ class IndexSelection:
 
     @property
     def labels(self) -> tuple[ClassicalFunction, ...]:
-        return tuple(
-            [ClassicalFunction("P", i) for i in self.p_indices]
-            + [ClassicalFunction("Q", i) for i in self.q_indices]
-        )
+        kinds = "P" * len(self.p_indices) + "Q" * len(self.q_indices)
+        return tuple(map(_label, kinds, self.p_indices + self.q_indices))
 
     def key(self) -> str:
         p = ",".join(map(str, self.p_indices))
@@ -219,11 +222,11 @@ def rank_exact(matrix) -> int:
     gives M[r, r] = 0, so r is not in S, and each i in S has the nonzero
     M[i, r] = -M[r, i] outside S and is not in R.  A skew matrix passes the
     check at every split; where it fails, rows R leave alone.  Each piece is
-    scaled to primitive integer rows just before its elimination (its
-    denominators cleared, then each row divided by the gcd of its entries),
-    so no minor carries a row's content, about 2**n in a bracket matrix.
+    extracted once and made primitive integer rows just before elimination
+    (denominators cleared unless all ``int``, each row divided by its gcd), so
+    no minor carries a row's content, about 2**n in a bracket matrix.
     """
-    if any(len(row) != len(matrix[0]) for row in matrix):
+    if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
     if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
         _integer_rows(matrix)  # names the first entry that is neither
@@ -232,15 +235,17 @@ def rank_exact(matrix) -> int:
 
     def rank_of(part, mask):
         js = [j for j in range(mask.bit_length()) if mask >> j & 1]
-        piece = _integer_rows([[matrix[i][j] for j in js] for i in part])[0]
+        piece = [[row[j] for j in js] for row in map(matrix.__getitem__, part)]
+        if not {int}.issuperset(map(type, chain(*piece))):
+            piece = _integer_rows(piece)[0]
         for row in piece:  # primitive rows: a row's content only inflates the minors
             if (g := math.gcd(*row)) > 1:
                 row[:] = [x // g for x in row]
         return _bareiss(piece)[0]
 
-    rows, cols, rank = range(len(matrix)), sum(bits), 0
-    while rows:  # each pass splits off one R, with S the mask s
-        for s in dict.fromkeys(masks[i] & cols for i in rows):
+    rows, live, cols, rank = list(range(len(matrix))), (1 << len(matrix)) - 1, sum(bits), 0
+    while rows:  # each pass splits off one R, with S the mask s; live is the rows' mask
+        for s in dict.fromkeys([masks[i] & cols for i in rows]):
             tight = [i for i in rows if masks[i] & cols | s == s]
             k = s.bit_count()
             if k <= len(tight) < len(rows) and (not k or rank_of(tight, s) == k):
@@ -248,22 +253,24 @@ def rank_exact(matrix) -> int:
         else:
             return rank + rank_of(rows, cols)
         rank += k
-        if cols == sum(1 << i for i in rows) and all(
+        out = sum(1 << i for i in tight)
+        if cols == live and all(
             matrix[i][j] == -matrix[j][i] for j in tight for i in rows
         ):  # columns R are -(rows R): R and S leave as rows and as columns
             rank += k
-            s |= sum(bits[i] for i in tight)
-            tight = [i for i in rows if s >> i & 1]
-        rows = [i for i in rows if i not in tight]
-        cols &= ~s
+            out = s = s | out
+        live, cols = live & ~out, cols & ~s
+        rows = [i for i in rows if live >> i & 1]
     return rank
 
 
 def det_exact(matrix) -> int | Fraction:
     """Exact determinant of a square rational matrix: an ``int`` when it is
-    integral, a ``Fraction`` otherwise."""
+    integral, a ``Fraction`` otherwise.  Rows of plain ``int``s are only copied."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
+    if {int}.issuperset(map(type, chain(*matrix))):
+        return _bareiss([list(row) for row in matrix])[1]
     m, scale = _integer_rows(matrix)
     det = _bareiss(m)[1]
     return det // scale if det % scale == 0 else Fraction(det, scale)
@@ -296,10 +303,12 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     lexicographic order of the (P, Q) index tuples.
 
     With the parity filter on, only selections whose index census is (n, n)
-    are yielded: these are the candidates the conjecture speaks about.
+    are yielded: these are the candidates the conjecture speaks about.  As P
+    and Q hold n indices each, that is evens(P) + evens(Q) == n, with the
+    census taken once per combination.
     """
-    pool = range(pool_bound + 1)
-    for p in combinations(pool, n):
-        for q in combinations(pool, n):
-            if not parity_filter or _census(p + q) == (n, n):
+    combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
+    for p, p_evens in combos:
+        for q, q_evens in combos:
+            if not parity_filter or p_evens + q_evens == n:
                 yield IndexSelection(p, q, n)

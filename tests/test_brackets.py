@@ -3,7 +3,7 @@ from itertools import accumulate, product
 
 import pytest
 
-from gkn_legendre import brackets
+from gkn_legendre import brackets, exactnum
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.exactnum import harmonic
@@ -175,3 +175,22 @@ class TestPowerTable:
                 value, expected = bracket(f, g, n), self.direct(f, g, n)
                 assert value == expected and type(value) is type(expected), (f, g, n)
         assert sorted(brackets._lam_powers) == [1, 2, 5, 24]
+
+    def test_far_index_is_computed_not_stored(self, monkeypatch):
+        """An index more than about twice past the end of a table is computed
+        directly and leaves the tables short; one near the end extends them."""
+        monkeypatch.setattr(brackets, "_lam_powers", {})
+        monkeypatch.setattr(exactnum, "_harmonic", [Fraction(0)])
+        for f, g in ((P(0), Q(100001)), (Q(20000), P(1))):
+            value, expected = bracket(f, g, 3), self.direct(f, g, 3)
+            assert value == expected and type(value) is int, (f, g)
+        a, b = 2 * 3, 3000 * 3001
+        h = (a**3 - b**3) // (a - b)
+        value = bracket(Q(2), Q(3000), 3)
+        assert value == -2 * (Fraction(3, 2) - sum(Fraction(1, i) for i in range(1, 3001))) * h
+        assert type(value) is Fraction
+        assert brackets._lam_powers[3] == [] and len(exactnum._harmonic) == 3
+        assert type(bracket(Q(2), Q(20000), 3)) is Fraction
+        assert brackets._lam_powers[3] == [] and len(exactnum._harmonic) == 3
+        assert bracket(P(0), Q(9), 3) == self.direct(P(0), Q(9), 3)
+        assert len(brackets._lam_powers[3]) == 10

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkn_legendre import exactnum
 from gkn_legendre.exactnum import (
     PiPair,
     eigenvalue,
@@ -45,6 +46,18 @@ class TestHarmonic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    def test_far_index_is_summed_not_stored(self, monkeypatch):
+        """An index near the end of the memo table extends it; one far past
+        it is summed directly, with the same value and type, and leaves the
+        table as it was."""
+        monkeypatch.setattr(exactnum, "_harmonic", [Fraction(0)])
+        for k in (3, 700, 19, 5, 50, 1001, 40, 200):
+            value = harmonic(k)
+            assert value == brute_harmonic(k) and type(value) is Fraction, k
+        assert len(exactnum._harmonic) == 51  # 700, 1001 and 200 were far
+        assert harmonic(20000) - harmonic(19999) == Fraction(1, 20000)
+        assert len(exactnum._harmonic) == 51
 
 
 class TestEigenvalue:

@@ -306,6 +306,31 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
         assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == cells
 
 
+def test_sweep_selection_reaches_the_kernel_as_its_parity_pieces(monkeypatch):
+    """The first n = 4, pool 7 sweep selection: its 8 x 8 M reaches the
+    elimination as the two parity blocks of B, each of primitive ``int`` rows
+    (P0, P2 against Q1, Q3, then P1, P3 against Q0, Q2), and det B as one
+    4 x 4 pass over B's own ``int`` rows."""
+    calls, bareiss = [], kernel._bareiss
+
+    def spy(m):
+        calls.append([list(row) for row in m])
+        return bareiss(m)
+
+    monkeypatch.setattr(kernel, "_bareiss", spy)
+    sel = next(enumerate_selections(4, 7))
+    assert sel == IndexSelection((0, 1, 2, 3), (0, 1, 2, 3), 4)
+    b = b_block(sel)
+    primitive = [[[x // gcd(*row) for x in row] for row in [[b[i][j] for j in js] for i in rs]]
+                 for rs, js in (((0, 2), (1, 3)), ((1, 3), (0, 2)))]
+    assert rank_exact(build_matrix(sel).entries) == 8
+    assert calls == primitive
+    calls.clear()
+    det = det_exact(b)
+    assert calls == [b] and all(type(x) is int for row in calls[0] for x in row)
+    assert type(det) is int and det == det_exact([[Fraction(x) for x in row] for row in b])
+
+
 @st.composite
 def scaled_matrices(draw):
     """A matrix from the strategies above with each row multiplied by a large

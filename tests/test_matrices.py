@@ -1,15 +1,20 @@
+import inspect
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.matrices import (
     IndexSelection,
+    _census,
     b_block,
     build_matrix,
     c_block,
     canonical_selection,
     det_exact,
+    enumerate_selections,
     is_li_mod_dmin,
     parity_census,
     rank_exact,
@@ -54,6 +59,41 @@ class TestSelection:
 
     def test_key(self):
         assert canonical_selection(3).key() == "n=3;P=0,1,2;Q=1,2,3"
+
+    def test_labels_are_interned(self):
+        """Labels are one shared ClassicalFunction per (kind, index), equal,
+        hashed and printed as freshly built ones; a bool index still never
+        reaches them."""
+        a, b = IndexSelection((0, 2), (1, 3), 2), IndexSelection((2, 5), (3,), 1)
+        assert a.labels[1] is b.labels[0] and a.labels[3] is b.labels[2]
+        assert a.labels is not a.labels and a.labels[0] is a.labels[0]
+        fresh = (ClassicalFunction("P", 2), ClassicalFunction("P", 5), ClassicalFunction("Q", 3))
+        assert b.labels == fresh and list(map(hash, b.labels)) == list(map(hash, fresh))
+        assert [str(f) for f in a.labels] == ["P0", "P2", "Q1", "Q3"]
+        assert IndexSelection((1,), (1,), 1).labels == (ClassicalFunction("P", 1), ClassicalFunction("Q", 1))
+        with pytest.raises(TypeError, match="got bool"):
+            IndexSelection((0,), (True,), 1)
+        with pytest.raises(TypeError, match="got bool"):
+            IndexSelection((0,), (1,), True)
+
+
+class TestEnumeration:
+    @staticmethod
+    def plain(n, pool_bound, parity_filter):
+        combos = list(combinations(range(pool_bound + 1), n))
+        return [IndexSelection(p, q, n) for p, q in product(combos, combos)
+                if not parity_filter or _census(p + q) == (n, n)]
+
+    @pytest.mark.parametrize("parity_filter", [True, False])
+    def test_equals_the_plain_filter(self, parity_filter):
+        """The same selections in the same order as filtering every (P, Q)
+        pair by its census, over empty pools and n past the pool too."""
+        for n in range(1, 5):
+            for pool_bound in range(-1, 9):
+                got = enumerate_selections(n, pool_bound, parity_filter)
+                assert inspect.isgenerator(got)
+                assert list(got) == self.plain(n, pool_bound, parity_filter), (n, pool_bound)
+        assert len(list(enumerate_selections(4, 7))) == 1810
 
 
 class TestBuildMatrix:
@@ -128,11 +168,21 @@ class TestRankDet:
             rank_exact([[0], [0, 1]])
         assert rank_exact([]) == 0
 
+    def test_int_and_bool_entries(self):
+        """A matrix of plain ``int``s has an ``int`` determinant; ``bool``
+        entries count as 0 and 1."""
+        assert type(det_exact([[3, 1], [4, 2]])) is int and det_exact([[3, 1], [4, 2]]) == 2
+        assert det_exact([[True, 2], [3, True]]) == -5 and type(det_exact([[True]])) is int
+        assert rank_exact([[True, False], [False, True]]) == 2
+        assert rank_exact([[True, True], [True, True]]) == 1 and rank_exact([[False]]) == 0
+
     def test_float_entry_is_a_type_error(self):
         with pytest.raises(TypeError, match="float"):
             rank_exact([[0.5, 1]])
         with pytest.raises(TypeError, match="float"):
             det_exact([[1.5]])
+        with pytest.raises(TypeError, match="float"):
+            det_exact([[1, 2], [3, 4.0]])
         with pytest.raises(TypeError, match="float"):
             rank_exact([[1, Fraction(1, 2)], [2, 0.0]])
         m = [list(row) for row in build_matrix(canonical_selection(3)).entries]
