@@ -22,7 +22,7 @@ built in integers and normalized by one ``Fraction`` construction.
 ``bracket`` reads each lam_i**n from one memo table per power n, extended to a
 near index (a far one is computed, not stored), and divides by (j - k)(j + k + 1).
 
-A power that is not an ``int`` (a ``bool`` neither) is a ``TypeError``.
+A power n follows the argument rule of ``exactnum.require_int``, with n >= 1.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classical import ClassicalFunction, inner_pq, inner_qq
-from .exactnum import eigenvalue, harmonic
+from .exactnum import eigenvalue, harmonic, require_int
 
 __all__ = ["bracket", "bracket_decomposed"]
 
@@ -41,9 +41,7 @@ _lam_powers: dict[int, list[int]] = {}
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
     """Exact value of [f, g]_n evaluated from -1 to 1."""
     if type(n) is not int or n < 1:
-        if type(n) is not int:
-            raise TypeError(f"bracket: n must be an int, got {type(n).__name__}")
-        raise ValueError("bracket: n must be >= 1")
+        require_int("bracket", "n", n, 1)
     j, k = f.index, g.index
     if f.kind == g.kind:
         if f.kind == "P" or j == k or (j + k) % 2:
@@ -77,10 +75,7 @@ def bracket_decomposed(
     eigen-gap (j == k) or through orthogonality before any inner product is
     consulted.
     """
-    if type(n) is not int or n < 1:
-        if type(n) is not int:
-            raise TypeError(f"bracket_decomposed: n must be an int, got {type(n).__name__}")
-        raise ValueError("bracket_decomposed: n must be >= 1")
+    require_int("bracket_decomposed", "n", n, 1)
     j, k = f.index, g.index
     if (f.kind == "P" and g.kind == "P") or f == g:
         return 0, 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import PiPair, harmonic, harmonic2, rational_str
+from .exactnum import PiPair, harmonic, harmonic2, rational_str, require_int
 
 __all__ = [
     "Poly",
@@ -103,27 +103,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def root_multiplicity(self, r) -> int:
-        """Multiplicity of (x - r) in self; 0 for the zero polynomial."""
-        if not self.coeffs:
-            return 0
-        p, mult = self, 0
-        while p(r) == 0:
-            p = p.deflate(r)
-            mult += 1
-        return mult
-
-    def deflate(self, r) -> "Poly":
-        """Exact synthetic division by (x - r); requires self(r) == 0."""
-        out = []
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-            out.append(acc)
-        if out and out[-1] != 0:
-            raise ValueError("deflate: r is not a root")
-        return Poly(list(reversed(out[:-1])))
-
     def to_json(self) -> list[str]:
         return [rational_str(c) for c in self.coeffs]
 
@@ -167,10 +146,7 @@ class ClassicalFunction:
     def __post_init__(self):
         if self.kind not in ("P", "Q"):
             raise ValueError(f"kind must be 'P' or 'Q', got {self.kind!r}")
-        if type(self.index) is not int or self.index < 0:
-            if type(self.index) is not int:
-                raise TypeError(f"ClassicalFunction: index must be an int, got {type(self.index).__name__}")
-            raise ValueError("index must be >= 0")
+        require_int("ClassicalFunction", "index", self.index, 0)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -210,16 +186,14 @@ def _extend(table: list[Poly], k: int) -> None:
 
 def legendre_p(k: int) -> Poly:
     """Exact coefficients of the Legendre polynomial P_k (P_k(1) = 1)."""
-    if k < 0:
-        raise ValueError("legendre_p: k must be >= 0")
+    require_int("legendre_p", "k", k, 0)
     _extend(_p_table, k)
     return _p_table[k]
 
 
 def legendre_q(k: int) -> QRepresentation:
     """Exact representation of the Legendre function of the second kind Q_k."""
-    if k < 0:
-        raise ValueError("legendre_q: k must be >= 0")
+    require_int("legendre_q", "k", k, 0)
     _extend(_p_table, k)
     _extend(_v_table, k)
     return QRepresentation(_p_table[k], _v_table[k])
@@ -230,6 +204,8 @@ def inner_pq(j: int, k: int) -> int | Fraction:
 
     P_j * Q_k is odd when j + k is even (j == k included), so that integral is 0.
     """
+    require_int("inner_pq", "j", j, 0)
+    require_int("inner_pq", "k", k, 0)
     if (j + k) % 2 == 0:
         return 0
     return Fraction(-2, (k - j) * (j + k + 1))
@@ -237,6 +213,8 @@ def inner_pq(j: int, k: int) -> int | Fraction:
 
 def inner_qq(j: int, k: int) -> int | Fraction:
     """Integral of Q_j * Q_k over (-1, 1), integer indices, j != k."""
+    require_int("inner_qq", "j", j, 0)
+    require_int("inner_qq", "k", k, 0)
     if j == k:
         raise ValueError("inner_qq: undefined for j == k; use q_norm_squared")
     if (j + k) % 2 == 1:
@@ -246,7 +224,6 @@ def inner_qq(j: int, k: int) -> int | Fraction:
 
 def q_norm_squared(k: int) -> PiPair:
     """Integral of Q_k**2 over (-1, 1): (pi**2/3 + 4*H_k^(2)) / (2(2k+1))."""
-    if k < 0:
-        raise ValueError("q_norm_squared: k must be >= 0")
+    require_int("q_norm_squared", "k", k, 0)
     d = 2 * (2 * k + 1)
     return PiPair(4 * harmonic2(k) / d, Fraction(1, 3 * d))

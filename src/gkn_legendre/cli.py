@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .brackets import bracket, bracket_decomposed
 from .classical import ClassicalFunction, legendre_q
-from .exactnum import laguerre_ld_coefficient, legendre_stirling, rational_str
+from .exactnum import laguerre_ld_coefficient, legendre_stirling, rational_str, require_int
 from .matrices import (
     BracketMatrix,
     IndexSelection,
@@ -200,8 +200,7 @@ def cmd_qfun(args) -> int:
 
 
 def cmd_stirling(args) -> int:
-    if args.n < 0:
-        raise ValueError("stirling: n must be >= 0")
+    require_int("stirling", "n", args.n, 0)
     rows = [[legendre_stirling(n, k) for k in range(n + 1)] for n in range(args.n + 1)]
     if args.format == "json":
         print(json.dumps(rows))

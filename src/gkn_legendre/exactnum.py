@@ -7,6 +7,10 @@ has ``.numerator`` and ``.denominator`` too), so nothing coerces a value that
 is already exact, and nothing in this package ever rounds.  A division of two
 ``int``s is written ``Fraction(a, b)``, never ``a / b``, which would give a
 ``float``.
+
+The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
+and at least its bound.  ``require_int`` states it for every module, with a
+``TypeError`` or a ``ValueError`` that names the function and the argument.
 """
 
 from __future__ import annotations
@@ -24,6 +28,14 @@ __all__ = [
     "legendre_stirling",
     "laguerre_ld_coefficient",
 ]
+
+
+def require_int(owner: str, name: str, value, least: int) -> None:
+    """The argument rule, for argument ``name`` of ``owner``; a hot path tests inline first."""
+    if type(value) is not int:
+        raise TypeError(f"{owner}: {name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{owner}: {name} must be >= {least}")
 
 
 def rational_str(q: int | Fraction) -> str:
@@ -54,21 +66,22 @@ _harmonic2: list[Fraction] = [Fraction(0)]
 _ls_rows: list[list[int]] = [[1]]
 
 
-def _inverse_sum(lo: int, hi: int) -> tuple[int, int]:
-    """sum 1/i over lo <= i < hi as (numerator, lcm of lo..hi-1), by halves."""
+def _inverse_sum(lo: int, hi: int, power: int) -> tuple[int, int]:
+    """sum 1/i**power over lo <= i < hi as (numerator, lcm of the i**power), by halves."""
     if hi - lo == 1:
-        return 1, lo
-    (a, b), (c, d) = _inverse_sum(lo, (lo + hi) // 2), _inverse_sum((lo + hi) // 2, hi)
+        return 1, lo**power
+    mid = (lo + hi) // 2
+    (a, b), (c, d) = _inverse_sum(lo, mid, power), _inverse_sum(mid, hi, power)
     m = math.lcm(b, d)
     return a * (m // b) + c * (m // d), m
 
 
 def harmonic(k: int) -> Fraction:
     """H_k = sum_{i=1..k} 1/i, with H_0 = 0."""
-    if k < 0:
-        raise ValueError("harmonic: k must be >= 0")
+    if type(k) is not int or k < 0:
+        require_int("harmonic", "k", k, 0)
     if k > 2 * len(_harmonic) + 16:  # far past the table: summed by halves, not stored
-        return Fraction(*_inverse_sum(1, k + 1))
+        return Fraction(*_inverse_sum(1, k + 1, 1))
     while len(_harmonic) <= k:
         i = len(_harmonic)
         _harmonic.append(_harmonic[-1] + Fraction(1, i))
@@ -77,8 +90,9 @@ def harmonic(k: int) -> Fraction:
 
 def harmonic2(k: int) -> Fraction:
     """H_k^(2) = sum_{i=1..k} 1/i**2, with H_0^(2) = 0."""
-    if k < 0:
-        raise ValueError("harmonic2: k must be >= 0")
+    require_int("harmonic2", "k", k, 0)
+    if k > 2 * len(_harmonic2) + 16:  # as in ``harmonic``
+        return Fraction(*_inverse_sum(1, k + 1, 2))
     while len(_harmonic2) <= k:
         i = len(_harmonic2)
         _harmonic2.append(_harmonic2[-1] + Fraction(1, i * i))
@@ -87,11 +101,8 @@ def harmonic2(k: int) -> Fraction:
 
 def eigenvalue(k: int, n: int) -> int:
     """(k(k+1))**n, the eigenvalue of the n-th operator power at index k."""
-    if type(k) is not int or type(n) is not int or k < 0 or n < 1:
-        for name, value in (("k", k), ("n", n)):
-            if type(value) is not int:
-                raise TypeError(f"eigenvalue: {name} must be an int, got {type(value).__name__}")
-        raise ValueError("eigenvalue: need k >= 0 and n >= 1")
+    require_int("eigenvalue", "k", k, 0)
+    require_int("eigenvalue", "n", n, 1)
     return (k * (k + 1)) ** n
 
 
@@ -101,8 +112,10 @@ def legendre_stirling(n: int, k: int) -> int:
     Triangular recurrence LS(n,k) = LS(n-1,k-1) + k(k+1)*LS(n-1,k) with
     LS(0,0) = 1 and LS(n,0) = 0 for n >= 1.
     """
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"legendre_stirling: need 0 <= k <= n, got ({n}, {k})")
+    require_int("legendre_stirling", "n", n, 0)
+    require_int("legendre_stirling", "k", k, 0)
+    if k > n:
+        raise ValueError(f"legendre_stirling: need k <= n, got n = {n}, k = {k}")
     while len(_ls_rows) <= n:
         prev = _ls_rows[-1]
         m = len(_ls_rows)
@@ -119,8 +132,10 @@ def laguerre_ld_coefficient(j: int, n: int, k: int | Fraction) -> Fraction:
 
     b_j(n,k) = sum_{i=0..j} (-1)**(i+j)/j! * C(j,i) * (k+i)**n.
     """
-    if j < 0 or n < 0 or j > n:
-        raise ValueError(f"laguerre_ld_coefficient: need 0 <= j <= n, got ({j}, {n})")
+    require_int("laguerre_ld_coefficient", "j", j, 0)
+    require_int("laguerre_ld_coefficient", "n", n, 0)
+    if j > n:
+        raise ValueError(f"laguerre_ld_coefficient: need j <= n, got j = {j}, n = {n}")
     total = 0
     for i in range(j + 1):
         sign = -1 if (i + j) % 2 else 1

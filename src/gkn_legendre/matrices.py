@@ -31,7 +31,7 @@ from itertools import chain, combinations, compress
 
 from .brackets import bracket
 from .classical import ClassicalFunction
-from .exactnum import rational_str
+from .exactnum import rational_str, require_int
 
 __all__ = [
     "IndexSelection",
@@ -64,15 +64,11 @@ class IndexSelection:
         object.__setattr__(self, "p_indices", tuple(self.p_indices))
         object.__setattr__(self, "q_indices", tuple(self.q_indices))
         if type(self.power) is not int or self.power < 1:
-            if type(self.power) is not int:
-                raise TypeError(f"IndexSelection: power must be an int, got {type(self.power).__name__}")
-            raise ValueError("power must be >= 1")
+            require_int("IndexSelection", "power", self.power, 1)
         for name, idx in (("p_indices", self.p_indices), ("q_indices", self.q_indices)):
             for i in idx:
-                if type(i) is not int:
-                    raise TypeError(f"IndexSelection: {name} must be ints, got {type(i).__name__}")
-                if i < 0:
-                    raise ValueError(f"{name}: indices must be >= 0")
+                if type(i) is not int or i < 0:
+                    require_int("IndexSelection", name, i, 0)
             if list(idx) != sorted(set(idx)):
                 raise ValueError(f"{name}: indices must be strictly increasing")
 
@@ -90,8 +86,7 @@ class IndexSelection:
 def canonical_selection(n: int) -> IndexSelection:
     """The canonical choice: P_0..P_{n-1} with Q_0..Q_{n-1} (even n) or
     Q_1..Q_n (odd n)."""
-    if n < 1:
-        raise ValueError("canonical_selection: n must be >= 1")
+    require_int("canonical_selection", "n", n, 1)
     p = tuple(range(n))
     q = tuple(range(n)) if n % 2 == 0 else tuple(range(1, n + 1))
     return IndexSelection(p, q, n)

@@ -51,7 +51,7 @@ from math import gcd, lcm
 from operator import add
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
-from .exactnum import legendre_stirling
+from .exactnum import legendre_stirling, require_int
 
 __all__ = [
     "LogRat",
@@ -117,11 +117,9 @@ class LogRat:
         if len(nums) > 3:
             raise ValueError("LogRat: degree in L(x) exceeds 2")
         a, b, den = self.pow_one_minus, self.pow_one_plus, self.den
-        for name, value, least in (("pow_one_minus", a, 0), ("pow_one_plus", b, 0), ("den", den, 1)):
-            if type(value) is not int:
-                raise TypeError(f"LogRat: {name} must be an int, got {type(value).__name__}")
-            if value < least:
-                raise ValueError(f"LogRat: {name} must be >= {least}")
+        if not (type(a) is type(b) is type(den) is int and a >= 0 and b >= 0 and den >= 1):
+            for name, value, least in (("pow_one_minus", a, 0), ("pow_one_plus", b, 0), ("den", den, 1)):
+                require_int("LogRat", name, value, least)
         # clear Fraction coefficients into den, once
         fractional, scale = False, 1
         for p in nums:
@@ -206,13 +204,16 @@ class LogRat:
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative
         means a pole.  A zero term is reported with a large positive order."""
-        if at == "plus_one":
-            x, pole = 1, self.pow_one_minus
-        elif at == "minus_one":
-            x, pole = -1, self.pow_one_plus
-        else:
+        if at not in ("plus_one", "minus_one"):
             raise ValueError("at must be 'plus_one' or 'minus_one'")
-        return tuple(p.root_multiplicity(x) - pole if p else 1 << 30 for p in self.nums)
+        t, pole = (1, self.pow_one_minus) if at == "plus_one" else (-1, self.pow_one_plus)
+        orders = []
+        for p in self.nums:
+            order, quotient = -pole, (p,)
+            while p and (quotient := _divided(quotient, t)):  # one (1 - t x) factor each
+                order += 1
+            orders.append(order if p else 1 << 30)
+        return tuple(orders)
 
     def __str__(self) -> str:
         parts = []
@@ -296,8 +297,7 @@ def apply_ell(f: LogRat) -> LogRat:
 
 def apply_ell_n(f: LogRat, n: int) -> LogRat:
     """n-fold iteration of the operator."""
-    if n < 1:
-        raise ValueError("apply_ell_n: n must be >= 1")
+    require_int("apply_ell_n", "n", n, 1)
     for _ in range(n):
         f = apply_ell(f)
     return f
@@ -306,8 +306,7 @@ def apply_ell_n(f: LogRat, n: int) -> LogRat:
 @cache
 def lagrangian_coefficients(n: int) -> tuple[tuple[int, Poly], ...]:
     """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n, built once per n."""
-    if n < 1:
-        raise ValueError("lagrangian_coefficients: n must be >= 1")
+    require_int("lagrangian_coefficients", "n", n, 1)
     return tuple((k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .exactnum import rational_str
+from .exactnum import rational_str, require_int
 from .matrices import IndexSelection, b_block, build_matrix, det_exact, enumerate_selections, rank_exact
 
 __all__ = ["RunConfig", "SweepRecord", "evaluate_selection", "run_sweep"]
@@ -65,10 +65,8 @@ class RunConfig:
     ledger_path: str = field(default_factory=lambda: os.environ.get(LEDGER_ENV_VAR, "gkn_sweep.jsonl"))
 
     def __post_init__(self):
-        if self.power < 1:
-            raise ValueError("power must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        require_int("RunConfig", "power", self.power, 1)
+        require_int("RunConfig", "workers", self.workers, 1)
 
 
 def evaluate_selection(sel: IndexSelection) -> tuple[int, bool, str]:

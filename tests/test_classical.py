@@ -35,14 +35,6 @@ class TestPoly:
         assert p.derivative().coeffs == (1,)
         assert p(Fraction(1, 2)) == Fraction(3, 2)
 
-    def test_deflate(self):
-        p = Poly([-1, 0, 1])  # x^2 - 1 = (x-1)(x+1)
-        assert p.deflate(1).coeffs == (1, 1)
-        assert p.root_multiplicity(1) == 1
-        assert Poly([1, -2, 1]).root_multiplicity(1) == 2
-        with pytest.raises(ValueError):
-            Poly([1, 1]).deflate(1)
-
     def test_json(self):
         assert Poly([Fraction(-1, 2), 0, Fraction(3, 2)]).to_json() == ["-1/2", "0", "3/2"]
 

@@ -1,10 +1,22 @@
 import math
 import random
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
-from gkn_legendre import exactnum
+from gkn_legendre import cli, exactnum
+from gkn_legendre.brackets import bracket, bracket_decomposed
+from gkn_legendre.classical import (
+    ClassicalFunction,
+    Poly,
+    QRepresentation,
+    inner_pq,
+    inner_qq,
+    legendre_p,
+    legendre_q,
+    q_norm_squared,
+)
 from gkn_legendre.exactnum import (
     PiPair,
     eigenvalue,
@@ -14,6 +26,9 @@ from gkn_legendre.exactnum import (
     legendre_stirling,
     rational_str,
 )
+from gkn_legendre.matrices import IndexSelection, canonical_selection
+from gkn_legendre.oracle import LogRat, apply_ell_n, lagrangian_coefficients
+from gkn_legendre.sweep import RunConfig
 
 
 def brute_harmonic(k, power=1):
@@ -58,6 +73,16 @@ class TestHarmonic:
         assert len(exactnum._harmonic) == 51  # 700, 1001 and 200 were far
         assert harmonic(20000) - harmonic(19999) == Fraction(1, 20000)
         assert len(exactnum._harmonic) == 51
+
+    def test_far_index_of_harmonic2_is_summed_not_stored(self, monkeypatch):
+        """harmonic2 bounds its memo table as harmonic does."""
+        monkeypatch.setattr(exactnum, "_harmonic2", [Fraction(0)])
+        for k in (3, 700, 19, 50, 200):
+            value = harmonic2(k)
+            assert value == brute_harmonic(k, power=2) and type(value) is Fraction, k
+        assert len(exactnum._harmonic2) == 51  # 700 and 200 were far
+        assert harmonic2(20000) - harmonic2(19999) == Fraction(1, 20000**2)
+        assert len(exactnum._harmonic2) == 51
 
 
 class TestEigenvalue:
@@ -175,3 +200,53 @@ class TestSerialization:
     def test_pipair(self):
         p = PiPair(Fraction(2, 3), Fraction(1, 18))
         assert abs(p.to_float() - (2 / 3 + math.pi**2 / 18)) < 1e-12
+
+
+P0, Q1, ONE = ClassicalFunction("P", 0), ClassicalFunction("Q", 1), LogRat((Poly.ONE,))
+# (owner, argument, least, call, valid, expected): every entry point under the
+# argument rule, each ``call`` taking the argument under test
+RULE_TABLE = [
+    ("ClassicalFunction", "index", 0, lambda v: str(ClassicalFunction("Q", v)), 3, "Q3"),
+    ("IndexSelection", "power", 1, lambda v: IndexSelection((0,), (1,), v).key(), 2, "n=2;P=0;Q=1"),
+    ("IndexSelection", "p_indices", 0, lambda v: IndexSelection((v,), (1,), 1).key(), 0, "n=1;P=0;Q=1"),
+    ("IndexSelection", "q_indices", 0, lambda v: IndexSelection((0,), (v,), 1).key(), 1, "n=1;P=0;Q=1"),
+    ("bracket", "n", 1, lambda v: bracket(P0, Q1, v), 1, 2),
+    ("bracket_decomposed", "n", 1, lambda v: bracket_decomposed(P0, Q1, v), 1, (-2, -1)),
+    ("eigenvalue", "k", 0, lambda v: eigenvalue(v, 2), 2, 36),
+    ("eigenvalue", "n", 1, lambda v: eigenvalue(2, v), 1, 6),
+    ("LogRat", "pow_one_minus", 0, lambda v: LogRat((Poly([1, -1]),), v), 1, ONE),
+    ("LogRat", "pow_one_plus", 0, lambda v: LogRat((Poly([1, 1]),), 0, v), 1, ONE),
+    ("LogRat", "den", 1, lambda v: LogRat((Poly([2]),), 0, 0, v), 2, ONE),
+    ("harmonic", "k", 0, harmonic, 3, Fraction(11, 6)),
+    ("harmonic2", "k", 0, harmonic2, 2, Fraction(5, 4)),
+    ("legendre_p", "k", 0, legendre_p, 2, Poly([Fraction(-1, 2), 0, Fraction(3, 2)])),
+    ("legendre_q", "k", 0, legendre_q, 1, QRepresentation(Poly.X, Poly.ONE)),
+    ("q_norm_squared", "k", 0, q_norm_squared, 0, PiPair(0, Fraction(1, 6))),
+    ("inner_pq", "j", 0, lambda v: inner_pq(v, 1), 0, -1),
+    ("inner_pq", "k", 0, lambda v: inner_pq(0, v), 1, -1),
+    ("inner_qq", "j", 0, lambda v: inner_qq(v, 2), 0, Fraction(-1, 2)),
+    ("inner_qq", "k", 0, lambda v: inner_qq(0, v), 2, Fraction(-1, 2)),
+    ("legendre_stirling", "n", 0, lambda v: legendre_stirling(v, 0), 2, 0),
+    ("legendre_stirling", "k", 0, lambda v: legendre_stirling(3, v), 2, 8),
+    ("laguerre_ld_coefficient", "j", 0, lambda v: laguerre_ld_coefficient(v, 2, 1), 1, 3),
+    ("laguerre_ld_coefficient", "n", 0, lambda v: laguerre_ld_coefficient(0, v, 2), 3, 8),
+    ("canonical_selection", "n", 1, canonical_selection, 1, IndexSelection((0,), (1,), 1)),
+    ("lagrangian_coefficients", "n", 1, lagrangian_coefficients, 1, ((1, Poly([1, 0, -1])),)),
+    ("apply_ell_n", "n", 1, lambda v: apply_ell_n(LogRat((Poly.X,)), v), 1, LogRat((Poly([0, 2]),))),
+    ("RunConfig", "power", 1, lambda v: RunConfig(v, 3, ledger_path="unused").power, 2, 2),
+    ("RunConfig", "workers", 1, lambda v: RunConfig(2, 3, workers=v, ledger_path="unused").workers, 2, 2),
+    ("stirling", "n", 0, lambda v: cli.cmd_stirling(Namespace(n=v, format="json")), 1, cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("owner, name, least, call, valid, expected", RULE_TABLE,
+                         ids=[f"{row[0]}-{row[1]}" for row in RULE_TABLE])
+def test_one_integer_argument_rule(owner, name, least, call, valid, expected):
+    """Every index, power and count is an int, not a bool, of at least its
+    bound: the same TypeError and ValueError wherever it is an argument."""
+    assert call(valid) == expected
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match=f"^{owner}: {name} must be an int, got {type(bad).__name__}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{owner}: {name} must be >= {least}$"):
+        call(least - 1)

@@ -43,3 +43,21 @@ def test_reader_sees_known_imports():
 ], ids=["verify", "matrices", "oracle"])
 def test_module_does_not_import(module, forbidden):
     assert not package_imports(module) & forbidden
+
+
+def int_rule_raises(module: str) -> int:
+    """How many ``raise TypeError(...)`` in ``module`` have a message saying "must be an int"."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return sum(
+        isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "TypeError"
+        and any(isinstance(part, ast.Constant) and "must be an int" in str(part.value) for part in ast.walk(node.exc))
+        for node in ast.walk(tree)
+    )
+
+
+def test_argument_rule_is_stated_once():
+    """Only ``exactnum.require_int`` raises the argument rule's TypeError."""
+    assert int_rule_raises("exactnum") == 1
+    others = {path.stem for path in PACKAGE.glob("*.py")} - {"exactnum"}
+    assert {module: int_rule_raises(module) for module in others} == dict.fromkeys(others, 0)

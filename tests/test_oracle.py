@@ -62,6 +62,15 @@ class TestEndRat:
         # (1 + (1-x) L) / ((1-x)^2 (1+x)): each power of L has its own order
         mixed = LogRat((Poly.ONE, Poly([1, -1])), 2, 1)
         assert mixed.order_at("plus_one") == (-2, -1, ZERO_ORDER)
+        # repeated roots: (1-x)^2 (1+x)^3 has order 2 at +1 and 3 at -1
+        one_minus, one_plus = Poly([1, -1]), Poly([1, 1])
+        double = LogRat((one_minus**2 * one_plus**3,))
+        assert double.order_at("plus_one") == (2, ZERO_ORDER, ZERO_ORDER)
+        assert double.order_at("minus_one") == (3, ZERO_ORDER, ZERO_ORDER)
+        # over (1-x)(1+x), with N1 = (1-x)^3 vanishing at +1 only and N2 = (1+x)^2 (2+x) at -1 only
+        ends = LogRat((one_minus**2 * one_plus**3, one_minus**3, one_plus**2 * Poly([2, 1])), 1, 1)
+        assert ends.order_at("plus_one") == (1, 2, -1)
+        assert ends.order_at("minus_one") == (2, -1, 1)
 
     def test_value_at(self):
         e = LogRat((Poly([0, 1]),), 0, 1)  # x/(1+x)
