@@ -156,6 +156,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for flag in ("n", "workers"):  # a negative --pool is an empty pool, which run_sweep reports
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     config = RunConfig(
         power=args.n,
         pool_bound=args.pool,

@@ -30,11 +30,12 @@ __all__ = [
 ]
 
 
-def require_int(owner: str, name: str, value, least: int) -> None:
-    """The argument rule, for argument ``name`` of ``owner``; a hot path tests inline first."""
+def require_int(owner: str, name: str, value, least: int | None = None) -> None:
+    """The argument rule, for argument ``name`` of ``owner``, with no lower
+    bound if ``least`` is None; a hot path tests inline first."""
     if type(value) is not int:
         raise TypeError(f"{owner}: {name} must be an int, got {type(value).__name__}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{owner}: {name} must be >= {least}")
 
 

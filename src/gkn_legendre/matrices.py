@@ -302,6 +302,7 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     and Q hold n indices each, that is evens(P) + evens(Q) == n, with the
     census taken once per combination.
     """
+    require_int("enumerate_selections", "pool_bound", pool_bound)
     combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
     for p, p_evens in combos:
         for q, q_evens in combos:

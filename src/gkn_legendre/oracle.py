@@ -26,6 +26,16 @@ are decided exactly: each power of L either has a pole (divergent), a plain
 value, or - for the log-bearing powers - vanishes to positive order, which
 kills the logarithm.
 
+Where an operand is canonical, the pole of the result follows by rule, and
+``_trusted`` builds it with only the content gcd and the zero form left to
+do.  ``derivative`` raises each pole by one unless it is 0 and N1, N2 vanish
+at that end; then exactly one factor cancels, and the numerators are built
+already divided.  The a_k product lowers each pole by up to k and multiplies
+by what is left of (1-x**2)**k.  An endpoint limit with no pole and N1, N2
+zero at that end is N0's value there.  Trial division by (1 -+ x) is left to
+``_sum``, where a sum's poles cancel by no rule, and to ``order_at``, which
+counts the orders a divergence message names.
+
 The boundary form, the Lagrangian expansion of the operator power and the
 endpoint conditions read the same chains, built by ``_lagrangian_chains``:
 f, ..., f^(n) and, for each Lagrangian coefficient a_k = LS(n,k) (1-x**2)**k,
@@ -39,7 +49,8 @@ group is lifted once to the common denominator and the sum becomes one
 ``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative`` builds
 each new numerator N_m = sum c_i x**i in one pass over its coefficients:
 coefficient i is (i+1) c_(i+1) + (a-b) c_i + (a+b+1-i) c_(i-1) plus
-(m+1) times coefficient i of N_(m+1).
+(m+1) times coefficient i of N_(m+1), or, where a factor cancels, the
+same divided by it.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ __all__ = [
     "classical_to_lograt",
 ]
 
-_ONE_MINUS_X2 = Poly([1, 0, -1])
+_ONE_MINUS_X, _ONE_PLUS_X, _ONE_MINUS_X2 = Poly([1, -1]), Poly([1, 1]), Poly([1, 0, -1])
 # suffixes naming the powers L**0, L**1, L**2
 _POWER_TEXT = ("", " * ln((1+x)/(1-x))/2", " * (ln((1+x)/(1-x))/2)^2")
 _POWER_NAME = ("", " * L", " * L^2")
@@ -133,14 +144,7 @@ class LogRat:
             nums = tuple(Poly([c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in nums)
             den *= scale
         # divide out the content shared with den; zero has none, so it ends over 1
-        if den != 1:
-            g = den
-            for p in nums:
-                if g != 1:
-                    g = gcd(g, *p.coeffs)
-            if g != 1:
-                nums = tuple(Poly([c // g for c in p.coeffs]) for p in nums)
-                den //= g
+        nums, den = _without_content(nums, den)
         if not any(nums):
             a = b = 0
         # cancel (1-x) and (1+x) factors while all three numerators vanish there
@@ -148,10 +152,7 @@ class LogRat:
             nums, a = quotients, a - 1
         while b > 0 and (quotients := _divided(nums, -1)):
             nums, b = quotients, b - 1
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "pow_one_minus", a)
-        object.__setattr__(self, "pow_one_plus", b)
-        object.__setattr__(self, "den", den)
+        vars(self).update(nums=nums, pow_one_minus=a, pow_one_plus=b, den=den)
 
     def term(self, m: int) -> "LogRat":
         """The coefficient of L**m, as a function of its own."""
@@ -166,7 +167,7 @@ class LogRat:
         return _sum([self._summand(1), other._summand(1)])
 
     def __neg__(self) -> "LogRat":
-        return LogRat(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus, self.den)
+        return _trusted(tuple(-p for p in self.nums), self.pow_one_minus, self.pow_one_plus, self.den)
 
     def __sub__(self, other: "LogRat") -> "LogRat":
         return _sum([self._summand(1), other._summand(-1)])
@@ -185,21 +186,42 @@ class LogRat:
     def derivative(self) -> "LogRat":
         # (N/D)' = (N'(1-x**2) + N (a(1+x) - b(1-x))) / (D (1-x**2)), and
         # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2): coefficient i
-        # of the new N_m is (i+1) c_{i+1} + (a-b) c_i + (a+b+1-i) c_{i-1} + (m+1) N_{m+1}[i]
+        # of the new N_m is (i+1) c_{i+1} + (a-b) c_i + (a+b+1-i) c_{i-1} + (m+1) N_{m+1}[i].
+        # At x = 1 the new N_m is 2a N_m(1) + (m+1) N_{m+1}(1); the input is
+        # canonical, so all three vanish only if a = 0 and N1(1) = N2(1) = 0.
+        # Then N (a(1+x) - b(1-x)) = -b N (1-x) and N_{m+1} = (1-x) Q_{m+1}, so
+        # over (1-x) coefficient i is (i+1) c_{i+1} + (i-b) c_i + (m+1) Q_{m+1}[i]
+        # and the pole stays 0.  Likewise at -1 with b = 0, where (i-b) becomes
+        # (a-i); where both cancel, neither c_i nor c_{i-1} is left.
         a, b = self.pow_one_minus, self.pow_one_plus
-        slope, tilt = a - b, a + b + 1
+        _, n1, n2 = self.nums
+        carry = n1, n2
+        minus = a == 0 and not n1(1) and not n2(1)
+        plus = b == 0 and not n1(-1) and not n2(-1)
+        if n1 or n2:
+            if minus:
+                carry = _divided(carry, 1)
+            if plus:
+                carry = _divided(carry, -1)
+        slope, turn, tilt = a - b, minus - plus, a + b + 1
         nums = []
         for m, p in enumerate(self.nums):
-            c = [0, *p.coeffs, 0, 0]
-            triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
-            new = [(i + 1) * hi + slope * mid + (tilt - i) * lo for i, (lo, mid, hi) in triples]
-            if m < 2 and self.nums[m + 1]:
-                carry = self.nums[m + 1].coeffs
-                new.extend([0] * (len(carry) - len(new)))
-                for i, e in enumerate(carry):
-                    new[i] += (m + 1) * e
+            more = carry[m].coeffs if m < 2 else ()
+            if not p:
+                nums.append(Poly([(m + 1) * e for e in more]) if more else p)
+                continue
+            if minus or plus:
+                c = [*p.coeffs, 0]
+                new = [(i + 1) * hi + (slope + turn * i) * mid for i, (mid, hi) in enumerate(zip(c, c[1:]))]
+            else:
+                c = [0, *p.coeffs, 0, 0]
+                triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
+                new = [(i + 1) * hi + slope * mid + (tilt - i) * lo for i, (lo, mid, hi) in triples]
+            new.extend([0] * (len(more) - len(new)))
+            for i, e in enumerate(more):
+                new[i] += (m + 1) * e
             nums.append(Poly(new))
-        return LogRat(tuple(nums), a + 1, b + 1, self.den)
+        return _trusted(tuple(nums), a + 1 - minus, b + 1 - plus, self.den)
 
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative
@@ -231,6 +253,32 @@ class LogRat:
                 s = f"{num} / ({den})" if den else num
                 parts.append(f"[{s}]{_POWER_TEXT[m]}" if m else s)
         return " + ".join(parts) if parts else "0"
+
+
+def _without_content(nums: tuple[Poly, ...], den: int) -> tuple[tuple[Poly, ...], int]:
+    """nums and den divided by the content den shares with all of nums."""
+    g = den
+    for p in nums:
+        if g != 1:
+            g = gcd(g, *p.coeffs)
+    if g == 1:
+        return nums, den
+    return tuple(Poly([c // g for c in p.coeffs]) for p in nums), den // g
+
+
+def _trusted(nums: tuple[Poly, Poly, Poly], a: int, b: int, den: int) -> LogRat:
+    """``LogRat(nums, a, b, den)`` for three ``int`` numerators built from
+    canonical operands, which share no (1 -+ x) factor with the poles: only
+    the content and the zero form are left.  ``LogRat(...)`` checks all."""
+    if not any(nums):
+        return _ZERO
+    nums, den = _without_content(nums, den)
+    value = object.__new__(LogRat)
+    vars(value).update(nums=nums, pow_one_minus=a, pow_one_plus=b, den=den)
+    return value
+
+
+_ZERO = LogRat()
 
 
 def _multiply_into(acc: list[list[int]], x: LogRat, y: LogRat, sign: int) -> None:
@@ -274,6 +322,7 @@ def _sum(terms: list[tuple]) -> LogRat:
     return LogRat(tuple(map(Poly, total)), a, b, den)
 
 
+@cache
 def classical_to_lograt(f: ClassicalFunction) -> LogRat:
     """P_k as a polynomial; Q_k as P_k * L - poly_part."""
     if f.kind == "P":
@@ -310,11 +359,28 @@ def lagrangian_coefficients(n: int) -> tuple[tuple[int, Poly], ...]:
     return tuple((k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1))
 
 
+@cache
+def _lift(n: int, k: int, i: int, j: int) -> Poly:
+    """LS(n,k) (1-x)**i (1+x)**j: what is left of a_k once it has cancelled
+    k - i and k - j poles."""
+    return legendre_stirling(n, k) * _ONE_MINUS_X**i * _ONE_PLUS_X**j
+
+
+def _times_coefficient(f: LogRat, n: int, k: int) -> LogRat:
+    """f * a_k: each pole of f lowered by up to k, the numerators times what
+    is left of (1-x**2)**k.  A pole that survives had a numerator nonzero at
+    its end, which a_k leaves alone, so the result is canonical as it stands."""
+    a, b = f.pow_one_minus, f.pow_one_plus
+    i, j = min(a, k), min(b, k)
+    lift = _lift(n, k, k - i, k - j)
+    return _trusted(tuple(p * lift if p else p for p in f.nums), a - i, b - j, f.den)
+
+
 def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRat]]]:
     """[f, ..., f^(n)] and, for k = 1..n, the chain [(a_k f^(k))^(i) for i < k];
     exactly n(n+1)/2 calls to ``derivative``."""
     derivs = _derivatives(f, n)
-    chains = [_derivatives(derivs[k] * a_k, k - 1) for k, a_k in lagrangian_coefficients(n)]
+    chains = [_derivatives(_times_coefficient(derivs[k], n, k), k - 1) for k, _ in lagrangian_coefficients(n)]
     return derivs, chains
 
 
@@ -354,16 +420,17 @@ def endpoint_limit(f: LogRat, at: str) -> Fraction:
     The limit exists iff the L**0 term has no pole and both log-bearing
     terms vanish to positive order at the endpoint (a surviving logarithm,
     squared or not, diverges).  The value is then the L**0 term's value.
+    In canonical form that is: no pole at the end, and N1, N2 zero there.
     """
+    t, pole = (1, f.pow_one_minus) if at == "plus_one" else (-1, f.pow_one_plus)
+    if at in ("plus_one", "minus_one") and pole == 0 and f.nums[1](t) == f.nums[2](t) == 0:
+        # the denominator is den * 2**(a+b) at an end without a pole
+        return Fraction(f.nums[0](t), f.den * 2 ** (f.pow_one_minus + f.pow_one_plus))
+    # otherwise some term diverges; in canonical form a pole here leaves a numerator nonzero here
     orders = f.order_at(at)
-    for m in (2, 1, 0):
-        if orders[m] < (1 if m else 0):
-            leading = f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}"
-            raise DivergentLimit(f"divergent limit at {at}: leading term {leading}")
-    # canonical form: a denominator factor vanishing at the endpoint would now
-    # divide all three numerators, so it is gone and the rest is 2**(a+b) there
-    value = f.nums[0](1 if at == "plus_one" else -1)
-    return Fraction(value, f.den * 2 ** (f.pow_one_minus + f.pow_one_plus))
+    m = next(m for m in (2, 1, 0) if orders[m] < (1 if m else 0))
+    leading = f"order {orders[m]} term [{f.term(m)}]{_POWER_NAME[m]}"
+    raise DivergentLimit(f"divergent limit at {at}: leading term {leading}")
 
 
 def bracket_via_oracle(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:

@@ -66,6 +66,8 @@ class RunConfig:
 
     def __post_init__(self):
         require_int("RunConfig", "power", self.power, 1)
+        # a negative bound is an empty pool, which run_sweep reports
+        require_int("RunConfig", "pool_bound", self.pool_bound)
         require_int("RunConfig", "workers", self.workers, 1)
 
 

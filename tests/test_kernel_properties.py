@@ -14,13 +14,17 @@ the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to 
 construction (``int`` numerators over one den that shares no content with
 them, from ``int`` and ``Fraction`` input), with an equality that agrees
 with cross-multiplication, and its boundary form and brackets are checked to be antisymmetric on random
-pairs of classical functions.  Its derivative and boundary form are compared
-with references built from ``Poly`` operations (a term-by-term canonical fold
-for the form), and the form is pinned to one canonical form per call.  Every
+pairs of classical functions.  Its derivative, derivative chains, a_k
+product and boundary form are compared with references built from ``Poly``
+operations (a term-by-term canonical fold for the form), and the form is
+pinned to one canonical form per call.  Every value built without the
+constructor's checks equals the public constructor's, and on
+``suite_oracle(3, 4)`` no (1 -+ x) division inside the chains fails.  Every
 exact value the engine returns is an ``int`` or a ``Fraction``, never a
 ``float``.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,6 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkn_legendre import matrices as kernel
+from gkn_legendre import oracle
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction, Poly, legendre_p, legendre_q
 from gkn_legendre.matrices import (
@@ -45,12 +50,14 @@ from gkn_legendre.oracle import (
     DivergentLimit,
     LogRat,
     _lagrangian_chains,
+    _times_coefficient,
     bracket_via_oracle,
     classical_to_lograt,
     endpoint_limit,
     lagrangian_coefficients,
     sesquilinear_at,
 )
+from gkn_legendre.verify import suite_oracle
 
 
 def reference_rank_det(matrix):
@@ -602,20 +609,21 @@ def reference_product(x, y):
     return LogRat(nums, a, b, x.den * y.den)
 
 
-def reference_sesquilinear(f, g, n):
-    def chains(h):
-        derivs = [h]
-        for _ in range(n):
-            derivs.append(reference_derivative(derivs[-1]))
-        out = []
-        for k, a_k in lagrangian_coefficients(n):
-            chain = [derivs[k] * a_k]
-            for _ in range(k - 1):
-                chain.append(reference_derivative(chain[-1]))
-            out.append(chain)
-        return derivs, out
+def reference_chains(h, n):
+    derivs = [h]
+    for _ in range(n):
+        derivs.append(reference_derivative(derivs[-1]))
+    out = []
+    for k, a_k in lagrangian_coefficients(n):
+        chain = [derivs[k] * a_k]
+        for _ in range(k - 1):
+            chain.append(reference_derivative(chain[-1]))
+        out.append(chain)
+    return derivs, out
 
-    (fder, fchains), (gder, gchains) = chains(f), chains(g)
+
+def reference_sesquilinear(f, g, n):
+    (fder, fchains), (gder, gchains) = reference_chains(f, n), reference_chains(g, n)
     total = LogRat()
     for k in range(1, n + 1):
         for j in range(1, k + 1):
@@ -668,6 +676,96 @@ def test_boundary_form_matches_reference(f, g, n):
     assert outcome(sesquilinear_at, f, g, n) == outcome(reference_sesquilinear, f, g, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(lograts(), st.integers(1, 4))
+def test_chains_match_reference(f, n):
+    assert _lagrangian_chains(f, n) == reference_chains(f, n)
+
+
+# the a_k product f * LS(n,k) (1-x**2)**k lowers each pole of f by up to k
+# without dividing; poles below, at and above k at each end
+@settings(max_examples=300, deadline=None)
+@example(LogRat([Poly([1, 2])], 1, 3, 3), (4, 2))  # below k at +1, above at -1
+@example(LogRat([Poly([1, 2]), Poly([0, 1])], 2, 2, 5), (3, 2))  # at k at both ends
+@example(LogRat([Poly([0, 1]), Poly.ONE], 5, 0), (4, 4))  # above at +1, none at -1
+@example(LogRat([Poly([3, 0, 1])], 0, 4, 2), (4, 4))  # none at +1, at k at -1
+@given(
+    st.builds(LogRat, numerators, st.integers(0, 6), st.integers(0, 6), st.integers(1, 6)),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+)
+def test_coefficient_product_matches_public_product(e, nk):
+    n, k = nk
+    assert _times_coefficient(e, n, k) == e * dict(lagrangian_coefficients(n))[k]
+
+
+def recording_trusted(mp):
+    """Record the arguments and the value of every call to the trusted constructor."""
+    trusted, made = oracle._trusted, []
+
+    def recording(*args):
+        value = trusted(*args)
+        made.append((args, value))
+        return value
+
+    mp.setattr(oracle, "_trusted", recording)
+    return made
+
+
+@settings(max_examples=200, deadline=None)
+@example(LogRat([Poly([1, 2])], 1, 2, 3), 2)  # den > 1, poles at both ends
+@example(classical_to_lograt(ClassicalFunction("Q", 2)), 3)  # chains of pole-free members
+@given(lograts(), st.integers(1, 4))
+def test_trusted_values_equal_public_ones(e, n):
+    """Every value the arithmetic builds without the constructor's checks is
+    the canonical form LogRat(...) makes of the same raw numerators."""
+    with pytest.MonkeyPatch.context() as mp:
+        made = recording_trusted(mp)
+        assert -e + e == LogRat()
+        _lagrangian_chains(e, n)
+    assert len(made) == 1 + n * (n + 3) // 2
+    for args, value in made:
+        assert value == LogRat(*args)
+        assert_integer_over_one_denominator(value)
+
+
+def test_oracle_settles_poles_by_rule(monkeypatch):
+    """On suite_oracle(3, 4) no (1 -+ x) division inside the chains fails: the
+    derivative divides only what it knows to vanish, the a_k product not at
+    all, and every chain still takes n(n+1)/2 derivatives."""
+    divided, derivative, chains = oracle._divided, LogRat.derivative, oracle._lagrangian_chains
+    failed, in_product, per_chain, calls = [], [], [], []
+
+    def counting_divided(nums, t):
+        result = divided(nums, t)
+        callers, frame = set(), sys._getframe(1)
+        while frame:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "_times_coefficient" in callers:
+            in_product.append(nums)
+        if result is None and callers & {"derivative", "_lagrangian_chains"}:
+            failed.append(nums)
+        return result
+
+    def counting_derivative(self):
+        calls.append(self)
+        return derivative(self)
+
+    def counting_chains(f, n):
+        before = len(calls)
+        result = chains(f, n)
+        per_chain.append((n, len(calls) - before))
+        return result
+
+    monkeypatch.setattr(oracle, "_divided", counting_divided)
+    monkeypatch.setattr(LogRat, "derivative", counting_derivative)
+    monkeypatch.setattr(oracle, "_lagrangian_chains", counting_chains)
+    assert [r.detail for r in suite_oracle(3, 4)] == ["256 pairs agree exactly (80 nonzero)"]
+    assert failed == [] and in_product == []
+    assert len(per_chain) == 2 * 256
+    assert all(count == n * (n + 1) // 2 for n, count in per_chain)
+
+
 def test_boundary_form_of_log_squares_exceeds_degree_two():
     log2 = LogRat((Poly.ZERO, Poly.ZERO, Poly.ONE))
     with pytest.raises(ValueError, match="product would exceed degree 2 in L"):
@@ -678,9 +776,10 @@ def test_boundary_form_of_log_squares_exceeds_degree_two():
 def test_one_canonical_form_per_boundary_form(n, monkeypatch):
     # the boundary form's products are summed as integer coefficient lists
     # and put into canonical form once; a fold over its terms would build a
-    # LogRat per product and per partial sum
+    # LogRat per product and per partial sum.  Values built by the trusted
+    # constructor skip __post_init__, so both are counted
     f, g = classical_to_lograt(ClassicalFunction("Q", 3)), classical_to_lograt(ClassicalFunction("P", 2))
-    init, made = LogRat.__post_init__, []
+    init, made = LogRat.__post_init__, recording_trusted(monkeypatch)
 
     def counting_init(self):
         made.append(self)

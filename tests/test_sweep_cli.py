@@ -194,6 +194,22 @@ class TestSweepLedger:
         with pytest.raises(ValueError):
             RunConfig(power=1, pool_bound=3, workers=0)
 
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_pool_bound_must_be_an_int(self, bad):
+        kind = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^RunConfig: pool_bound must be an int, got {kind}$"):
+            RunConfig(power=2, pool_bound=bad)
+        with pytest.raises(TypeError, match=f"^enumerate_selections: pool_bound must be an int, got {kind}$"):
+            list(enumerate_selections(2, bad))
+
+    def test_negative_pool_bound_admits_no_selection(self, tmp_path):
+        assert list(enumerate_selections(2, -1)) == []
+        ledger = tmp_path / "s.jsonl"
+        cfg = RunConfig(power=2, pool_bound=-1, ledger_path=str(ledger))
+        with pytest.raises(ValueError, match="^pool bound -1 admits no parity-balanced selection for n=2$"):
+            run_sweep(cfg)
+        assert not ledger.exists()
+
 
 class TestTornLedger:
     def sweep(self, ledger, pool):
@@ -375,6 +391,19 @@ class TestCliVerify:
         assert captured.out == ""
         assert message in captured.err
         assert not dump.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--pool", "3"], "--n must be >= 1"),
+        (["--n", "-2", "--pool", "3", "--workers", "0"], "--n must be >= 1"),
+        (["--n", "2", "--pool", "3", "--workers", "0"], "--workers must be >= 1"),
+    ], ids=["n-zero", "n-and-workers", "workers-zero"])
+    def test_sweep_out_of_range_flag_is_usage_error(self, argv, message, tmp_path, capsys):
+        ledger = tmp_path / "s.jsonl"
+        assert main(["sweep", *argv, "--ledger", str(ledger)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not ledger.exists()
 
     @pytest.mark.parametrize("argv, flags", [
         (["--suite", "paper-tables", "--max-n", "1"], ["--max-n"]),
