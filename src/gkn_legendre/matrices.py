@@ -1,10 +1,12 @@
 """Boundary-form matrices, exact rank/determinant, and the structural checks.
 
 The matrix for a selection of r Legendre polynomials and s second-kind
-functions is the (r+s) x (r+s) table of brackets, P-block first.  All rank
-and determinant decisions use fraction-free (Bareiss) elimination over the
-integers after clearing row denominators, so there is no rounding anywhere
-and no magnitude wall.
+functions is the (r+s) x (r+s) table of brackets, P-block first.  Every rank
+and determinant is decided on integers, after clearing row denominators, so
+there is no rounding anywhere and no magnitude wall: a determinant by
+fraction-free (Bareiss) elimination, a rank piece by the same elimination
+mod the prime P = 2**61 - 1, which proves the rank when it reaches the
+piece's smaller side, and by exact Bareiss only where it falls short.
 
 The rank splits off rows R whose nonzeros all lie in a column set S, so that
 the matrix is [[X, 0], [Y, Z]] with X = M[R, S] of full column rank: X clears
@@ -13,11 +15,11 @@ are one index set and columns R are minus rows R (M[i, j] = -M[j, i] for j
 in R, checked on the values at the split), rows and columns R and S split
 off together, for rank 2|S|: M[S, R] = -X^T clears the rest of rows S, and
 the zero M[r, r] of the row r whose nonzeros span S keeps R and S disjoint.
-What no such R splits is eliminated whole; only the pieces eliminated are
-scaled, each to primitive integer rows.  A bracket matrix is skew, as the
-form of Green's formula is, and splits in pairs because brackets of
-opposite parity and P-P brackets vanish, but the rule is exact for every
-matrix.
+What no such R splits is eliminated whole; only the pieces that fall short
+mod P are scaled, each to primitive integer rows.  A bracket matrix is
+skew, as the form of Green's formula is, and splits in pairs because
+brackets of opposite parity and P-P brackets vanish, but the rule is exact
+for every matrix.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -47,6 +49,8 @@ __all__ = [
     "enumerate_selections",
 ]
 
+
+P = 2**61 - 1  # the prime of the rank certificate
 
 # one per (kind, index), called only with indices IndexSelection checked (True == 1 as a key)
 _label = cache(ClassicalFunction)
@@ -159,16 +163,22 @@ def _integer_rows(matrix) -> tuple[list[list[int]], int]:
     return m, scale
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+def _bareiss(m: list[list[int]], p: int = 0) -> tuple[int, int] | int:
     """(rank, det) of an integer matrix by one pass of fraction-free
-    elimination, which overwrites ``m``.
+    elimination, which overwrites ``m``; with a modulus ``p``, only the rank
+    mod ``p``, from a reduced copy.
 
     The determinant is 0 unless the matrix is square of full rank, where it
     is the last pivot up to the sign of the row swaps.  The empty matrix has
-    rank 0 and determinant 1.  This is the only elimination loop:
-    ``rank_exact`` runs it on each piece that its splitting rule leaves,
-    ``det_exact`` once on the whole matrix.
+    rank 0 and determinant 1.  Mod a prime ``p`` each row is updated as
+    (pivot*a - factor*b) % p with no division: the pivot is a unit, so this
+    is a row operation over GF(p) and gives the rank there.  This is the only
+    elimination loop: ``rank_exact`` runs it on each piece that its splitting
+    rule leaves, mod ``P`` and exactly where that falls short, ``det_exact``
+    once on the whole matrix.
     """
+    if p:
+        m = [[x % p for x in row] for row in m]
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
@@ -186,13 +196,34 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
         pivot = top[col]
         for row in m[rank + 1 :]:
             factor = row[col]
-            row[col + 1 :] = [
-                (pivot * a - factor * b) // prev for a, b in zip(row[col + 1 :], top[col + 1 :])
-            ]
+            pairs = zip(row[col + 1 :], top[col + 1 :])
+            row[col + 1 :] = (
+                [(pivot * a - factor * b) % p for a, b in pairs] if p
+                else [(pivot * a - factor * b) // prev for a, b in pairs]
+            )
             row[col] = 0  # never read again; frees the big entry
         prev = pivot
         rank += 1
-    return rank, sign * prev if rank == nrows == ncols else 0
+    return rank if p else (rank, sign * prev if rank == nrows == ncols else 0)
+
+
+def _rank_piece(piece: list[list[int]]) -> int:
+    """Rank of an integer piece, certified mod ``P`` where it can be.
+
+    Every minor is an integer, and one that is 0 is 0 mod ``P``, so the rank
+    mod ``P`` is at most the rank, which is at most min(rows, cols): a rank
+    mod ``P`` that reaches min(rows, cols) is the rank.  The certificate is
+    sound in that direction only; a piece that falls short mod ``P`` is made
+    primitive rows (a row's content, about 2**n in a bracket matrix, only
+    inflates the minors) and eliminated exactly.
+    """
+    full = min(len(piece), len(piece[0]))
+    if _bareiss(piece, P) == full:
+        return full
+    for row in piece:
+        if (g := math.gcd(*row)) > 1:
+            row[:] = [x // g for x in row]
+    return _bareiss(piece)[0]
 
 
 def rank_exact(matrix) -> int:
@@ -217,9 +248,10 @@ def rank_exact(matrix) -> int:
     gives M[r, r] = 0, so r is not in S, and each i in S has the nonzero
     M[i, r] = -M[r, i] outside S and is not in R.  A skew matrix passes the
     check at every split; where it fails, rows R leave alone.  Each piece is
-    extracted once and made primitive integer rows just before elimination
-    (denominators cleared unless all ``int``, each row divided by its gcd), so
-    no minor carries a row's content, about 2**n in a bracket matrix.
+    extracted once, its denominators cleared unless all ``int``, and ranked
+    by ``_rank_piece``: mod ``P`` first, which is sound in one direction only
+    (a rank mod ``P`` of min(rows, cols) is the rank, a lower one proves
+    nothing), then exactly on primitive rows where that falls short.
     """
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
@@ -233,10 +265,7 @@ def rank_exact(matrix) -> int:
         piece = [[row[j] for j in js] for row in map(matrix.__getitem__, part)]
         if not {int}.issuperset(map(type, chain(*piece))):
             piece = _integer_rows(piece)[0]
-        for row in piece:  # primitive rows: a row's content only inflates the minors
-            if (g := math.gcd(*row)) > 1:
-                row[:] = [x // g for x in row]
-        return _bareiss(piece)[0]
+        return _rank_piece(piece)
 
     rows, live, cols, rank = list(range(len(matrix))), (1 << len(matrix)) - 1, sum(bits), 0
     while rows:  # each pass splits off one R, with S the mask s; live is the rows' mask

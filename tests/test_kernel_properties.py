@@ -5,10 +5,13 @@ elimination over ``Fraction`` written here, on small random matrices of
 ``int``s and ``Fraction``s, and ``rank_exact`` also on block-diagonal and
 block-triangular ones whose rows and columns are shuffled, and on ones skew
 about a pair split, skew or not elsewhere, shuffled by one permutation of
-both, and on all of these with rows scaled by large factors or entries as
-Fraction(k, 1); the rank's elimination is pinned to the pieces its splitting
-rule finds, on canonical and sweep-sized bracket matrices too, each of
-primitive ``int`` rows, the determinant's to one pass.  The structural
+both, and on all of these with rows scaled by large factors, by multiples
+of the certificate's prime P or with entries as Fraction(k, 1); the rank is
+pinned to the pieces its splitting rule finds, on canonical and sweep-sized
+bracket matrices too, each of ``int`` rows and certified mod P unless it
+falls short there, when it reaches the exact elimination as primitive rows
+(so does a full-rank piece that is singular mod P); canonical n <= 64
+passes with no exact elimination, and the determinant is one exact pass.  The structural
 identities of the bracket matrices are checked on random r = s = n selections, with the sign law of
 the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to be canonical by
 construction (``int`` numerators over one den that shares no content with
@@ -57,7 +60,7 @@ from gkn_legendre.oracle import (
     lagrangian_coefficients,
     sesquilinear_at,
 )
-from gkn_legendre.verify import suite_oracle
+from gkn_legendre.verify import suite_canonical, suite_oracle
 
 
 def reference_rank_det(matrix):
@@ -254,87 +257,115 @@ def kernel_cells(m, rank):
     return sum((rows - k - 1) * (cols - k - 1) for k in range(rank))
 
 
+def spy_pieces(monkeypatch):
+    """Lists that fill as ``rank_exact`` runs: each piece the rank decides, as
+    it reaches ``_rank_piece`` (integer rows, denominators cleared), and each
+    matrix that reaches the exact elimination, ``_bareiss`` with no modulus."""
+    pieces, exact = [], []
+    rank_piece, bareiss = kernel._rank_piece, kernel._bareiss
+
+    def piece_spy(m):
+        pieces.append([list(row) for row in m])  # the elimination overwrites m
+        return rank_piece(m)
+
+    def bareiss_spy(m, p=0):
+        if not p:
+            exact.append([list(row) for row in m])
+        return bareiss(m, p)
+
+    monkeypatch.setattr(kernel, "_rank_piece", piece_spy)
+    monkeypatch.setattr(kernel, "_bareiss", bareiss_spy)
+    return pieces, exact
+
+
+def primitive(m):
+    """``m`` with each nonzero row divided by its gcd."""
+    return [[x // gcd(*row) for x in row] if any(row) else list(row) for row in m]
+
+
 def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
-    """Canonical n = 32 reaches the elimination as two 16 x 16 blocks: the
-    rows of each parity block of B split off, and with them, as the matrix is
-    skew, the rows and columns of its -B^T, which are not eliminated; canonical
-    n <= 24 costs 6358 cell updates.  The sweep's n = 3, pool 7 matrices take
-    2336 pieces and 1312 cells (the 1184 balanced ones) and 3488 pieces and
-    15848 cells (the 1952 unbalanced ones).  Rows whose nonzeros lie in fewer
+    """Canonical n = 32 is decided as two 16 x 16 pieces: the rows of each
+    parity block of B split off, and with them, as the matrix is skew, the
+    rows and columns of its -B^T, which are not eliminated; canonical n <= 24
+    costs 6358 cell updates, and canonical n <= 40 reaches the exact
+    elimination not once.  The sweep's n = 3, pool 7 matrices take 2336
+    pieces and 1312 cells (the 1184 balanced ones) and 3488 pieces and 15848
+    cells (the 1952 unbalanced ones), and exactly their rank-deficient
+    pieces reach the exact elimination.  Rows whose nonzeros lie in fewer
     columns than there are rows split off too, and a row set whose X is short
     of full column rank is passed over for the next one.  A matrix with no
-    zero entry reaches it once, whole, and so does every matrix whose
-    determinant is asked for.  No piece is empty."""
-    calls, bareiss = [], kernel._bareiss
-
-    def spy(m):
-        calls.append([list(row) for row in m])  # the elimination overwrites m
-        return bareiss(m)
-
-    monkeypatch.setattr(kernel, "_bareiss", spy)
+    zero entry is one piece, whole, and every matrix whose determinant is
+    asked for reaches the exact elimination once, whole.  No piece is empty."""
+    pieces, exact = spy_pieces(monkeypatch)
     assert rank_exact(build_matrix(canonical_selection(32)).entries) == 64
-    assert [(len(m), len(m[0])) for m in calls] == [(16, 16)] * 2
-    calls.clear()
+    assert [(len(m), len(m[0])) for m in pieces] == [(16, 16)] * 2
+    pieces.clear()
     assert rank_exact(build_matrix(canonical_selection(4)).entries) == 8
-    assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 2
-    calls.clear()
+    assert [(len(m), len(m[0])) for m in pieces] == [(2, 2)] * 2
+    pieces.clear()
     unbalanced = IndexSelection((0, 1, 2), (0, 1, 2), 3)
     assert rank_exact(build_matrix(unbalanced).entries) == 4
-    assert [(len(m), len(m[0])) for m in calls] == [(2, 1), (3, 3)]
-    calls.clear()
+    assert [(len(m), len(m[0])) for m in pieces] == [(2, 1), (3, 3)]
+    assert exact == [primitive(pieces[1])]  # the antisymmetric 3 x 3 is singular
+    pieces.clear()
+    exact.clear()
     tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
     assert rank_exact(tall) == 4
-    assert [(len(m), len(m[0])) for m in calls] == [(3, 2), (2, 2)]
-    calls.clear()
+    assert [(len(m), len(m[0])) for m in pieces] == [(3, 2), (2, 2)]
+    pieces.clear()
     singular_first = [[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 2]]
     assert rank_exact(singular_first) == 3
-    assert [(len(m), len(m[0])) for m in calls] == [(2, 2), (2, 2), (2, 1)]
-    calls.clear()
+    assert [(len(m), len(m[0])) for m in pieces] == [(2, 2), (2, 2), (2, 1)]
+    assert exact == [[[1, 1], [1, 1]]]
+    pieces.clear()
+    exact.clear()
     dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert rank_exact(dense) == 3
-    assert calls == [dense]
-    calls.clear()
+    assert pieces == [dense] and exact == []
+    pieces.clear()
     split = [[0, 2, 0], [3, 0, 0], [0, 0, 5]]
     assert det_exact(split) == -30
-    assert calls == [split]
-    calls.clear()
+    assert pieces == [] and exact == [split]
+    exact.clear()
     for n in range(1, 25):
         rank_exact(build_matrix(canonical_selection(n)).entries)
-    assert all(calls)
-    assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == 6358
+    assert all(pieces)
+    assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in pieces) == 6358
+    for n in range(25, 41):
+        rank_exact(build_matrix(canonical_selection(n)).entries)
+    assert exact == []
     sweep = list(enumerate_selections(3, 7, parity_filter=False))
-    for balanced, count, pieces, cells in ((True, 1184, 2336, 1312), (False, 1952, 3488, 15848)):
-        calls.clear()
+    for balanced, count, npieces, cells in ((True, 1184, 2336, 1312), (False, 1952, 3488, 15848)):
+        pieces.clear()
+        exact.clear()
         family = [sel for sel in sweep if (parity_census(sel) == (3, 3)) == balanced]
         assert len(family) == count
         for sel in family:
             rank_exact(build_matrix(sel).entries)
-        assert all(calls) and len(calls) == pieces
-        assert sum(kernel_cells(m, reference_rank_det(m)[0]) for m in calls) == cells
+        assert all(pieces) and len(pieces) == npieces
+        ranks = [reference_rank_det(m)[0] for m in pieces]
+        assert sum(kernel_cells(m, r) for m, r in zip(pieces, ranks)) == cells
+        deficient = [primitive(m) for m, r in zip(pieces, ranks) if r < min(len(m), len(m[0]))]
+        assert exact == deficient and bool(exact) != balanced
 
 
 def test_sweep_selection_reaches_the_kernel_as_its_parity_pieces(monkeypatch):
-    """The first n = 4, pool 7 sweep selection: its 8 x 8 M reaches the
-    elimination as the two parity blocks of B, each of primitive ``int`` rows
-    (P0, P2 against Q1, Q3, then P1, P3 against Q0, Q2), and det B as one
-    4 x 4 pass over B's own ``int`` rows."""
-    calls, bareiss = [], kernel._bareiss
-
-    def spy(m):
-        calls.append([list(row) for row in m])
-        return bareiss(m)
-
-    monkeypatch.setattr(kernel, "_bareiss", spy)
+    """The first n = 4, pool 7 sweep selection: its 8 x 8 M is decided as the
+    two parity blocks of B, each of B's own ``int`` rows (P0, P2 against Q1,
+    Q3, then P1, P3 against Q0, Q2), both certified with no exact
+    elimination, and det B as one exact 4 x 4 pass over B's own ``int``
+    rows."""
+    pieces, exact = spy_pieces(monkeypatch)
     sel = next(enumerate_selections(4, 7))
     assert sel == IndexSelection((0, 1, 2, 3), (0, 1, 2, 3), 4)
     b = b_block(sel)
-    primitive = [[[x // gcd(*row) for x in row] for row in [[b[i][j] for j in js] for i in rs]]
-                 for rs, js in (((0, 2), (1, 3)), ((1, 3), (0, 2)))]
+    blocks = [[[b[i][j] for j in js] for i in rs] for rs, js in (((0, 2), (1, 3)), ((1, 3), (0, 2)))]
     assert rank_exact(build_matrix(sel).entries) == 8
-    assert calls == primitive
-    calls.clear()
+    assert pieces == blocks and exact == []
+    assert all(type(x) is int for m in pieces for row in m for x in row)
+    pieces.clear()
     det = det_exact(b)
-    assert calls == [b] and all(type(x) is int for row in calls[0] for x in row)
+    assert pieces == [] and exact == [b] and all(type(x) is int for row in exact[0] for x in row)
     assert type(det) is int and det == det_exact([[Fraction(x) for x in row] for row in b])
 
 
@@ -365,25 +396,91 @@ def test_rank_of_scaled_rows_matches_reference(m):
 
 
 def test_kernel_sees_primitive_int_rows(monkeypatch):
-    """Every piece the rank hands to the elimination is of plain ``int`` rows,
-    each nonzero one with gcd 1: its denominators cleared, then its content
-    divided out.  The canonical rows carry content of 2**n and more."""
-    pieces, bareiss = [], kernel._bareiss
-
-    def spy(m):
-        pieces.append([list(row) for row in m])
-        return bareiss(m)
-
-    monkeypatch.setattr(kernel, "_bareiss", spy)
+    """Every piece the rank decides is of plain ``int`` rows, its denominators
+    cleared, and every piece that still reaches the exact elimination is of
+    primitive ``int`` rows, each nonzero one with gcd 1: its content divided
+    out.  The canonical rows carry content of 2**n and more, but are
+    certified mod P; rank-deficient sweep pieces and a piece that is singular
+    mod P only because a row is a multiple of P are eliminated exactly."""
+    pieces, exact = spy_pieces(monkeypatch)
     assert gcd(*b_block(canonical_selection(24))[0]) % 2**24 == 0
     for n in range(1, 25):
         rank_exact(build_matrix(canonical_selection(n)).entries)
     for sel in enumerate_selections(3, 5, parity_filter=False):
         rank_exact(build_matrix(sel).entries)
     rank_exact([[Fraction(2), Fraction(4), 0], [Fraction(6, 5), Fraction(3, 5), 3], [0, 0, 1]])
-    rows = [row for m in pieces for row in m]
-    assert len(pieces) > 400 and all(type(x) is int for row in rows for x in row)
+    assert rank_exact([[Fraction(2 * kernel.P), Fraction(4 * kernel.P, 3)], [Fraction(3, 5), Fraction(6, 5)]]) == 2
+    assert exact[-1] == [[3, 2], [1, 2]]
+    assert len(pieces) > 400 and all(type(x) is int for m in pieces for row in m for x in row)
+    rows = [row for m in exact for row in m]
+    assert len(exact) > 100 and all(type(x) is int for row in rows for x in row)
     assert all(gcd(*row) == 1 for row in rows if any(row))
+
+
+def test_pieces_singular_mod_p_fall_back_to_the_exact_rank(monkeypatch):
+    """A full-rank piece that is singular mod P is not certified: it reaches
+    the exact elimination, as primitive rows, and its rank is the exact one.
+    So do [[P]], the second piece of [[P, 1], [0, 1]], and the piece holding
+    row P0 of a canonical matrix conjugated by diag(P, 1, ..., 1), which
+    stays skew; no other piece reaches it."""
+    P = kernel.P
+    pieces, exact = spy_pieces(monkeypatch)
+    assert rank_exact([[P]]) == 1
+    assert pieces == [[[P]]] and exact == [[[1]]]
+    pieces.clear()
+    exact.clear()
+    assert rank_exact([[P, 1], [0, 1]]) == 2
+    assert pieces == [[[1]], [[P]]] and exact == [[[1]]]
+    for n in range(1, 9):
+        pieces.clear()
+        exact.clear()
+        m = build_matrix(canonical_selection(n)).entries
+        d = [P] + [1] * (2 * n - 1)
+        conj = [[di * x * dj for x, dj in zip(row, d)] for di, row in zip(d, m)]
+        assert all(conj[i][j] == -conj[j][i] for i in range(2 * n) for j in range(2 * n))
+        assert rank_exact(conj) == 2 * n
+        held = [primitive(m) for m in pieces if any(not any(x % P for x in row) for row in m)]
+        assert len(held) == 1 and exact == held
+
+
+@st.composite
+def p_scaled_matrices(draw):
+    """A matrix from the strategies above with each row multiplied by a small
+    factor times P**0, P or P**2, so a row is often 0 mod P, and then either,
+    if the matrix is square, each column by its row's factor too, which keeps
+    a skew matrix skew, or one row replaced by another plus P times itself,
+    which keeps the rank and makes the two rows agree mod P.  Every entry may
+    be turned into a ``Fraction``."""
+    m = draw(matrices() | shuffled_block_diagonals() | shuffled_block_triangulars()
+             | conjugated_skew_triangulars())
+    factors = [draw(st.integers(1, 3)) * kernel.P ** draw(st.integers(0, 2)) for _ in m]
+    if m and len(m) == len(m[0]) and draw(st.booleans()):
+        m = [[fi * x * fj for x, fj in zip(row, factors)] for fi, row in zip(factors, m)]
+    else:
+        m = [[f * x for x in row] for f, row in zip(factors, m)]
+        if len(m) > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(len(m))))[:2]
+            m[i] = [b + kernel.P * a for a, b in zip(m[i], m[j])]
+    return [[Fraction(x) for x in row] for row in m] if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None)
+@example([[kernel.P, 1], [1, 1]])  # det P - 1, singular mod P
+@example([[2 * kernel.P, 0, 0], [0, 0, 3], [0, -3, 0]])
+@given(p_scaled_matrices())
+def test_rank_of_rows_scaled_by_p_matches_reference(m):
+    assert rank_exact(m) == reference_rank_det(m)[0]
+
+
+def test_canonical_full_rank_to_n64_with_no_exact_elimination(monkeypatch):
+    """``suite_canonical`` passes with rank 2n at every n <= 64, and every
+    piece it decides is certified mod P: the exact elimination never runs."""
+    pieces, exact = spy_pieces(monkeypatch)
+    results = suite_canonical(max_n=64)
+    assert [r.name for r in results] == [f"canonical/n={n}" for n in range(1, 65)]
+    for n, r in enumerate(results, 1):
+        assert r.ok and r.detail.startswith(f"rank {2 * n}/{2 * n}, ")
+    assert len(pieces) >= 64 and exact == []
 
 
 def test_empty_matrix():
