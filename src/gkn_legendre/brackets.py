@@ -19,8 +19,8 @@ With H_i = N_i / D_i from the memoized harmonic numbers, the Q-Q case is
     [Q_j, Q_k]_n = 2 (N_k D_j - N_j D_k) h / (D_j D_k),
 
 built in integers and normalized by one ``Fraction`` construction.
-``bracket`` reads each lam_i**n from one memo table per power n, extended to a
-near index (a far one is computed, not stored), and divides by (j - k)(j + k + 1).
+``bracket`` reads each lam_i**n and H_i from the caches of ``exactnum`` and
+divides by (j - k)(j + k + 1).
 
 A power n follows the argument rule of ``exactnum.require_int``, with n >= 1.
 """
@@ -30,12 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classical import ClassicalFunction, inner_pq, inner_qq
-from .exactnum import eigenvalue, harmonic, require_int
+from .exactnum import _harmonic, _lam_power, eigenvalue, require_int
 
 __all__ = ["bracket", "bracket_decomposed"]
-
-# lam_i**n for i = 0, 1, ... per power n; entries are immutable once written.
-_lam_powers: dict[int, list[int]] = {}
 
 
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
@@ -48,21 +45,13 @@ def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fractio
             return 0
     elif (j + k) % 2 == 0:
         return 0
-    try:
-        lam = _lam_powers[n]
-        lam_j, lam_k = lam[j], lam[k]
-    except (KeyError, IndexError):
-        lam = _lam_powers.setdefault(n, [])
-        if max(j, k) <= 2 * len(lam) + 16:
-            lam.extend((i * (i + 1)) ** n for i in range(len(lam), max(j, k) + 1))
-        lam_j, lam_k = (lam[i] if i < len(lam) else (i * (i + 1)) ** n for i in (j, k))
     # j != k here, so the divisor is lam_j - lam_k != 0 and the division exact
-    h = (lam_j - lam_k) // ((j - k) * (j + k + 1))
+    h = (_lam_power(j, n) - _lam_power(k, n)) // ((j - k) * (j + k + 1))
     if f.kind == "P":
         return 2 * h
     if g.kind == "P":
         return -2 * h
-    (nj, dj), (nk, dk) = harmonic(j).as_integer_ratio(), harmonic(k).as_integer_ratio()
+    (nj, dj), (nk, dk) = _harmonic(j, 1).as_integer_ratio(), _harmonic(k, 1).as_integer_ratio()
     return Fraction(2 * (nk * dj - nj * dk) * h, dj * dk)
 
 

@@ -11,6 +11,12 @@ is already exact, and nothing in this package ever rounds.  A division of two
 The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
 and at least its bound.  ``require_int`` states it for every module, with a
 ``TypeError`` or a ``ValueError`` that names the function and the argument.
+
+The memo rule: a direct formula is cached per key, a recurrence is a table.
+lam_k**n, H_k and H_k^(2) are ``functools.cache``s read only after the
+argument check (a key takes ``True`` for ``1``), so a far index stores one
+entry.  A recurrence, each entry of which needs the one before, is a list
+grown to the index asked for: ``_ls_rows`` here, P_k and V_k in ``classical``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "PiPair",
@@ -61,9 +68,7 @@ class PiPair:
         return float(self.rat) + float(self.pi2) * math.pi**2
 
 
-# Memo tables; entries are immutable once written.
-_harmonic: list[Fraction] = [Fraction(0)]
-_harmonic2: list[Fraction] = [Fraction(0)]
+# Legendre-Stirling rows; entries are immutable once written.
 _ls_rows: list[list[int]] = [[1]]
 
 
@@ -77,34 +82,36 @@ def _inverse_sum(lo: int, hi: int, power: int) -> tuple[int, int]:
     return a * (m // b) + c * (m // d), m
 
 
+@cache
+def _harmonic(k: int, power: int) -> Fraction:
+    """sum 1/i**power over 1 <= i <= k, for a checked k."""
+    return Fraction(*_inverse_sum(1, k + 1, power)) if k else Fraction(0)
+
+
+@cache
+def _lam_power(k: int, n: int) -> int:
+    """(k(k+1))**n, for a checked k and n."""
+    return (k * (k + 1)) ** n
+
+
 def harmonic(k: int) -> Fraction:
     """H_k = sum_{i=1..k} 1/i, with H_0 = 0."""
     if type(k) is not int or k < 0:
         require_int("harmonic", "k", k, 0)
-    if k > 2 * len(_harmonic) + 16:  # far past the table: summed by halves, not stored
-        return Fraction(*_inverse_sum(1, k + 1, 1))
-    while len(_harmonic) <= k:
-        i = len(_harmonic)
-        _harmonic.append(_harmonic[-1] + Fraction(1, i))
-    return _harmonic[k]
+    return _harmonic(k, 1)
 
 
 def harmonic2(k: int) -> Fraction:
     """H_k^(2) = sum_{i=1..k} 1/i**2, with H_0^(2) = 0."""
     require_int("harmonic2", "k", k, 0)
-    if k > 2 * len(_harmonic2) + 16:  # as in ``harmonic``
-        return Fraction(*_inverse_sum(1, k + 1, 2))
-    while len(_harmonic2) <= k:
-        i = len(_harmonic2)
-        _harmonic2.append(_harmonic2[-1] + Fraction(1, i * i))
-    return _harmonic2[k]
+    return _harmonic(k, 2)
 
 
 def eigenvalue(k: int, n: int) -> int:
     """(k(k+1))**n, the eigenvalue of the n-th operator power at index k."""
     require_int("eigenvalue", "k", k, 0)
     require_int("eigenvalue", "n", n, 1)
-    return (k * (k + 1)) ** n
+    return _lam_power(k, n)
 
 
 def legendre_stirling(n: int, k: int) -> int:

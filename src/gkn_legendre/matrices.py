@@ -15,8 +15,7 @@ are one index set and columns R are minus rows R (M[i, j] = -M[j, i] for j
 in R, checked on the values at the split), rows and columns R and S split
 off together, for rank 2|S|: M[S, R] = -X^T clears the rest of rows S, and
 the zero M[r, r] of the row r whose nonzeros span S keeps R and S disjoint.
-What no such R splits is eliminated whole; only the pieces that fall short
-mod P are scaled, each to primitive integer rows.  A bracket matrix is
+What no such R splits is eliminated whole.  A bracket matrix is
 skew, as the form of Green's formula is, and splits in pairs because
 brackets of opposite parity and P-P brackets vanish, but the rule is exact
 for every matrix.
@@ -145,20 +144,23 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
     return [[bracket(a, b, sel.power) for b in qs] for a in qs]
 
 
+def _check_entries(matrix) -> None:
+    """Every entry is an ``int`` or a ``Fraction``; the first that is not (a
+    ``bool`` or a ``float`` too) is named in a ``TypeError``."""
+    if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
+        bad = next(x for x in chain(*matrix) if type(x) not in (int, Fraction))
+        raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}")
+
+
 def _integer_rows(matrix) -> tuple[list[list[int]], int]:
     """Each row scaled to plain ``int``s by the lcm of its denominators, and
     the product of those scales, which divides the determinant back out; a
-    row whose denominators are all 1 only has its numerators read.
-    Entries are ``int``s or ``Fraction``s; anything else is a ``TypeError``."""
+    row whose denominators are all 1 only has its numerators read."""
     m, scale = [], 1
     for row in matrix:
-        try:
-            mult = math.lcm(*(x.denominator for x in row))
-            m.append([x.numerator * (mult // x.denominator) for x in row] if mult > 1
-                     else [x.numerator for x in row])
-        except AttributeError:
-            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
-            raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}") from None
+        mult = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (mult // x.denominator) for x in row] if mult > 1
+                 else [x.numerator for x in row])
         scale *= mult
     return m, scale
 
@@ -213,17 +215,11 @@ def _rank_piece(piece: list[list[int]]) -> int:
     Every minor is an integer, and one that is 0 is 0 mod ``P``, so the rank
     mod ``P`` is at most the rank, which is at most min(rows, cols): a rank
     mod ``P`` that reaches min(rows, cols) is the rank.  The certificate is
-    sound in that direction only; a piece that falls short mod ``P`` is made
-    primitive rows (a row's content, about 2**n in a bracket matrix, only
-    inflates the minors) and eliminated exactly.
+    sound in that direction only; a piece that falls short mod ``P`` is
+    eliminated exactly.
     """
     full = min(len(piece), len(piece[0]))
-    if _bareiss(piece, P) == full:
-        return full
-    for row in piece:
-        if (g := math.gcd(*row)) > 1:
-            row[:] = [x // g for x in row]
-    return _bareiss(piece)[0]
+    return full if _bareiss(piece, P) == full else _bareiss(piece)[0]
 
 
 def rank_exact(matrix) -> int:
@@ -251,12 +247,11 @@ def rank_exact(matrix) -> int:
     extracted once, its denominators cleared unless all ``int``, and ranked
     by ``_rank_piece``: mod ``P`` first, which is sound in one direction only
     (a rank mod ``P`` of min(rows, cols) is the rank, a lower one proves
-    nothing), then exactly on primitive rows where that falls short.
+    nothing), then exactly where that falls short.
     """
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
-    if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
-        _integer_rows(matrix)  # names the first entry that is neither
+    _check_entries(matrix)
     bits = [1 << j for j in range(len(matrix[0]) if matrix else 0)]
     masks = [sum(compress(bits, row)) for row in matrix]
 
@@ -295,6 +290,7 @@ def det_exact(matrix) -> int | Fraction:
         raise ValueError("det_exact: matrix must be square")
     if {int}.issuperset(map(type, chain(*matrix))):
         return _bareiss([list(row) for row in matrix])[1]
+    _check_entries(matrix)
     m, scale = _integer_rows(matrix)
     det = _bareiss(m)[1]
     return det // scale if det % scale == 0 else Fraction(det, scale)

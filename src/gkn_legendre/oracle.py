@@ -136,7 +136,7 @@ class LogRat:
         for p in nums:
             for c in p.coeffs:
                 if type(c) is not int:
-                    if not isinstance(c, (int, Fraction)):
+                    if type(c) is not Fraction:  # a bool or a float too
                         kind = type(c).__name__
                         raise TypeError(f"LogRat: coefficients must be int or Fraction, got {kind}")
                     fractional, scale = True, lcm(scale, c.denominator)

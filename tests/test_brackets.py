@@ -3,10 +3,10 @@ from itertools import accumulate, product
 
 import pytest
 
-from gkn_legendre import brackets, exactnum
+from gkn_legendre import exactnum
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction
-from gkn_legendre.exactnum import harmonic
+from gkn_legendre.exactnum import eigenvalue, harmonic, harmonic2
 from gkn_legendre.matrices import build_matrix, canonical_selection
 
 
@@ -151,9 +151,9 @@ class TestQQ:
 
 
 class TestPowerTable:
-    """``bracket`` reads lam_i**n from a memo table per power n; its values
-    and types are those of the direct formula h = (a**n - b**n) // (a - b),
-    in whatever order powers and indices arrive."""
+    """``bracket`` reads lam_i**n from a cache per (i, n); its values and
+    types are those of the direct formula h = (a**n - b**n) // (a - b), in
+    whatever order powers and indices arrive, and a key stores one entry."""
 
     @staticmethod
     def direct(f, g, n):
@@ -166,31 +166,56 @@ class TestPowerTable:
             return 2 * h if f.kind == "P" else -2 * h
         return -2 * (harmonic(j) - harmonic(k)) * h
 
-    def test_interleaved_powers_and_growing_indices(self, monkeypatch):
-        monkeypatch.setattr(brackets, "_lam_powers", {})
+    def test_interleaved_powers_and_growing_indices(self):
+        exactnum._lam_power.cache_clear()
         # powers interleaved, and at n = 5, 2 and 24 a large index after small ones
-        for n, top in ((5, 3), (2, 6), (5, 8), (24, 4), (1, 9), (5, 60), (2, 2), (24, 61), (2, 45)):
+        plan = ((5, 3), (2, 6), (5, 8), (24, 4), (1, 9), (5, 60), (2, 2), (24, 61), (2, 45))
+        for n, top in plan:
             funcs = [ClassicalFunction(kind, i) for kind in "PQ" for i in range(top + 1)]
             for f, g in product(funcs, repeat=2):
                 value, expected = bracket(f, g, n), self.direct(f, g, n)
                 assert value == expected and type(value) is type(expected), (f, g, n)
-        assert sorted(brackets._lam_powers) == [1, 2, 5, 24]
+        keys = {(i, n) for n, top in plan for i in range(top + 1)}
+        assert exactnum._lam_power.cache_info().currsize == len(keys)
+        for i, n in keys:
+            assert eigenvalue(i, n) == (i * (i + 1)) ** n
+        assert exactnum._lam_power.cache_info().currsize == len(keys)
 
-    def test_far_index_is_computed_not_stored(self, monkeypatch):
-        """An index more than about twice past the end of a table is computed
-        directly and leaves the tables short; one near the end extends them."""
-        monkeypatch.setattr(brackets, "_lam_powers", {})
-        monkeypatch.setattr(exactnum, "_harmonic", [Fraction(0)])
-        for f, g in ((P(0), Q(100001)), (Q(20000), P(1))):
-            value, expected = bracket(f, g, 3), self.direct(f, g, 3)
-            assert value == expected and type(value) is int, (f, g)
+    def test_far_index_stores_only_its_own_entries(self):
+        """A far index is computed directly and stores one entry per cache,
+        nothing for the indices below it."""
+        exactnum._lam_power.cache_clear()
+        exactnum._harmonic.cache_clear()
+        value, expected = bracket(P(0), Q(100001), 3), self.direct(P(0), Q(100001), 3)
+        assert value == expected and type(value) is int
+        assert exactnum._lam_power.cache_info().currsize == 2
+        value, expected = bracket(Q(20000), P(1), 3), self.direct(Q(20000), P(1), 3)
+        assert value == expected and type(value) is int
+        assert exactnum._lam_power.cache_info().currsize == 4
+        assert exactnum._harmonic.cache_info().currsize == 0
         a, b = 2 * 3, 3000 * 3001
         h = (a**3 - b**3) // (a - b)
         value = bracket(Q(2), Q(3000), 3)
         assert value == -2 * (Fraction(3, 2) - sum(Fraction(1, i) for i in range(1, 3001))) * h
         assert type(value) is Fraction
-        assert brackets._lam_powers[3] == [] and len(exactnum._harmonic) == 3
+        assert exactnum._lam_power.cache_info().currsize == 6
+        assert exactnum._harmonic.cache_info().currsize == 2
         assert type(bracket(Q(2), Q(20000), 3)) is Fraction
-        assert brackets._lam_powers[3] == [] and len(exactnum._harmonic) == 3
-        assert bracket(P(0), Q(9), 3) == self.direct(P(0), Q(9), 3)
-        assert len(brackets._lam_powers[3]) == 10
+        assert exactnum._lam_power.cache_info().currsize == 6
+        assert exactnum._harmonic.cache_info().currsize == 3
+
+    def test_arguments_are_checked_before_the_cache(self):
+        """A cache key takes ``True`` for ``1``, so the argument rule runs
+        before each cache is read."""
+        assert eigenvalue(1, 2) == 4 and bracket(P(0), Q(1), 1) == 2
+        assert harmonic(1) == harmonic2(1) == 1
+        with pytest.raises(TypeError, match="eigenvalue: k must be an int, got bool"):
+            eigenvalue(True, 2)
+        with pytest.raises(TypeError, match="eigenvalue: n must be an int, got bool"):
+            eigenvalue(1, True)
+        with pytest.raises(TypeError, match="bracket: n must be an int, got bool"):
+            bracket(P(0), Q(1), True)
+        with pytest.raises(TypeError, match="harmonic: k must be an int, got bool"):
+            harmonic(True)
+        with pytest.raises(TypeError, match="harmonic2: k must be an int, got bool"):
+            harmonic2(True)

@@ -62,27 +62,31 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(-1)
 
-    def test_far_index_is_summed_not_stored(self, monkeypatch):
-        """An index near the end of the memo table extends it; one far past
-        it is summed directly, with the same value and type, and leaves the
-        table as it was."""
-        monkeypatch.setattr(exactnum, "_harmonic", [Fraction(0)])
-        for k in (3, 700, 19, 5, 50, 1001, 40, 200):
+    def test_far_index_stores_only_its_own_entry(self):
+        """H_k is cached per k: indices in any order give the direct sum's
+        value and type, and each stores one entry, nothing for those below it."""
+        exactnum._harmonic.cache_clear()
+        ks = (3, 700, 19, 5, 50, 1001, 40, 200)
+        for k in ks:
             value = harmonic(k)
             assert value == brute_harmonic(k) and type(value) is Fraction, k
-        assert len(exactnum._harmonic) == 51  # 700, 1001 and 200 were far
+        assert exactnum._harmonic.cache_info().currsize == len(ks)
         assert harmonic(20000) - harmonic(19999) == Fraction(1, 20000)
-        assert len(exactnum._harmonic) == 51
+        assert exactnum._harmonic.cache_info().currsize == len(ks) + 2
 
-    def test_far_index_of_harmonic2_is_summed_not_stored(self, monkeypatch):
-        """harmonic2 bounds its memo table as harmonic does."""
-        monkeypatch.setattr(exactnum, "_harmonic2", [Fraction(0)])
-        for k in (3, 700, 19, 50, 200):
+    def test_far_index_of_harmonic2_stores_only_its_own_entry(self):
+        """H_k^(2) is cached as H_k is, under its own keys."""
+        exactnum._harmonic.cache_clear()
+        ks = (3, 700, 19, 50, 200)
+        for k in ks:
             value = harmonic2(k)
             assert value == brute_harmonic(k, power=2) and type(value) is Fraction, k
-        assert len(exactnum._harmonic2) == 51  # 700 and 200 were far
-        assert harmonic2(20000) - harmonic2(19999) == Fraction(1, 20000**2)
-        assert len(exactnum._harmonic2) == 51
+        assert exactnum._harmonic.cache_info().currsize == len(ks)
+        assert harmonic(3) == Fraction(11, 6)  # H_3, not H_3^(2)
+        assert exactnum._harmonic.cache_info().currsize == len(ks) + 1
+        value = harmonic2(20000)
+        assert exactnum._harmonic.cache_info().currsize == len(ks) + 2
+        assert value - harmonic2(19999) == Fraction(1, 20000**2)
 
 
 class TestEigenvalue:

@@ -9,7 +9,7 @@ both, and on all of these with rows scaled by large factors, by multiples
 of the certificate's prime P or with entries as Fraction(k, 1); the rank is
 pinned to the pieces its splitting rule finds, on canonical and sweep-sized
 bracket matrices too, each of ``int`` rows and certified mod P unless it
-falls short there, when it reaches the exact elimination as primitive rows
+falls short there, when it reaches the exact elimination as it is
 (so does a full-rank piece that is singular mod P); canonical n <= 64
 passes with no exact elimination, and the determinant is one exact pass.  The structural
 identities of the bracket matrices are checked on random r = s = n selections, with the sign law of
@@ -278,11 +278,6 @@ def spy_pieces(monkeypatch):
     return pieces, exact
 
 
-def primitive(m):
-    """``m`` with each nonzero row divided by its gcd."""
-    return [[x // gcd(*row) for x in row] if any(row) else list(row) for row in m]
-
-
 def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     """Canonical n = 32 is decided as two 16 x 16 pieces: the rows of each
     parity block of B split off, and with them, as the matrix is skew, the
@@ -306,7 +301,7 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     unbalanced = IndexSelection((0, 1, 2), (0, 1, 2), 3)
     assert rank_exact(build_matrix(unbalanced).entries) == 4
     assert [(len(m), len(m[0])) for m in pieces] == [(2, 1), (3, 3)]
-    assert exact == [primitive(pieces[1])]  # the antisymmetric 3 x 3 is singular
+    assert exact == [pieces[1]]  # the antisymmetric 3 x 3 is singular
     pieces.clear()
     exact.clear()
     tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
@@ -345,7 +340,7 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
         assert all(pieces) and len(pieces) == npieces
         ranks = [reference_rank_det(m)[0] for m in pieces]
         assert sum(kernel_cells(m, r) for m, r in zip(pieces, ranks)) == cells
-        deficient = [primitive(m) for m, r in zip(pieces, ranks) if r < min(len(m), len(m[0]))]
+        deficient = [m for m, r in zip(pieces, ranks) if r < min(len(m), len(m[0]))]
         assert exact == deficient and bool(exact) != balanced
 
 
@@ -395,13 +390,13 @@ def test_rank_of_scaled_rows_matches_reference(m):
     assert rank_exact(m) == reference_rank_det(m)[0]
 
 
-def test_kernel_sees_primitive_int_rows(monkeypatch):
+def test_kernel_sees_int_rows(monkeypatch):
     """Every piece the rank decides is of plain ``int`` rows, its denominators
-    cleared, and every piece that still reaches the exact elimination is of
-    primitive ``int`` rows, each nonzero one with gcd 1: its content divided
-    out.  The canonical rows carry content of 2**n and more, but are
-    certified mod P; rank-deficient sweep pieces and a piece that is singular
-    mod P only because a row is a multiple of P are eliminated exactly."""
+    cleared, and every piece that still reaches the exact elimination is that
+    piece as it is, its rows' content kept.  The canonical rows carry content
+    of 2**n and more, but are certified mod P; rank-deficient sweep pieces
+    and a piece that is singular mod P only because a row is a multiple of P
+    are eliminated exactly."""
     pieces, exact = spy_pieces(monkeypatch)
     assert gcd(*b_block(canonical_selection(24))[0]) % 2**24 == 0
     for n in range(1, 25):
@@ -410,27 +405,26 @@ def test_kernel_sees_primitive_int_rows(monkeypatch):
         rank_exact(build_matrix(sel).entries)
     rank_exact([[Fraction(2), Fraction(4), 0], [Fraction(6, 5), Fraction(3, 5), 3], [0, 0, 1]])
     assert rank_exact([[Fraction(2 * kernel.P), Fraction(4 * kernel.P, 3)], [Fraction(3, 5), Fraction(6, 5)]]) == 2
-    assert exact[-1] == [[3, 2], [1, 2]]
+    assert exact[-1] == pieces[-1] == [[6 * kernel.P, 4 * kernel.P], [3, 6]]
     assert len(pieces) > 400 and all(type(x) is int for m in pieces for row in m for x in row)
-    rows = [row for m in exact for row in m]
-    assert len(exact) > 100 and all(type(x) is int for row in rows for x in row)
-    assert all(gcd(*row) == 1 for row in rows if any(row))
+    assert len(exact) > 100 and all(m in pieces for m in exact)
+    assert any(gcd(*row) > 1 for m in exact for row in m)
 
 
 def test_pieces_singular_mod_p_fall_back_to_the_exact_rank(monkeypatch):
     """A full-rank piece that is singular mod P is not certified: it reaches
-    the exact elimination, as primitive rows, and its rank is the exact one.
+    the exact elimination as it is, and its rank is the exact one.
     So do [[P]], the second piece of [[P, 1], [0, 1]], and the piece holding
     row P0 of a canonical matrix conjugated by diag(P, 1, ..., 1), which
     stays skew; no other piece reaches it."""
     P = kernel.P
     pieces, exact = spy_pieces(monkeypatch)
     assert rank_exact([[P]]) == 1
-    assert pieces == [[[P]]] and exact == [[[1]]]
+    assert pieces == exact == [[[P]]]
     pieces.clear()
     exact.clear()
     assert rank_exact([[P, 1], [0, 1]]) == 2
-    assert pieces == [[[1]], [[P]]] and exact == [[[1]]]
+    assert pieces == [[[1]], [[P]]] and exact == [[[P]]]
     for n in range(1, 9):
         pieces.clear()
         exact.clear()
@@ -439,7 +433,7 @@ def test_pieces_singular_mod_p_fall_back_to_the_exact_rank(monkeypatch):
         conj = [[di * x * dj for x, dj in zip(row, d)] for di, row in zip(d, m)]
         assert all(conj[i][j] == -conj[j][i] for i in range(2 * n) for j in range(2 * n))
         assert rank_exact(conj) == 2 * n
-        held = [primitive(m) for m in pieces if any(not any(x % P for x in row) for row in m)]
+        held = [m for m in pieces if any(not any(x % P for x in row) for row in m)]
         assert len(held) == 1 and exact == held
 
 

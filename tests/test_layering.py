@@ -4,7 +4,9 @@
 the modules built on it; ``verify`` reaches selections through ``matrices``
 and depends on neither ``sweep`` nor the CLI.  The ``oracle`` stays
 independent of the closed form: it imports none of ``brackets``,
-``matrices``, ``sweep``, ``verify`` or the CLI.
+``matrices``, ``sweep``, ``verify`` or the CLI.  The memo rule is read
+the same way: the only module-level containers a function grows are the
+recurrence tables.
 """
 
 import ast
@@ -61,3 +63,50 @@ def test_argument_rule_is_stated_once():
     assert int_rule_raises("exactnum") == 1
     others = {path.stem for path in PACKAGE.glob("*.py")} - {"exactnum"}
     assert {module: int_rule_raises(module) for module in others} == dict.fromkeys(others, 0)
+
+
+GROWERS = {"append", "extend", "insert", "setdefault", "update", "add"}
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def targets(node) -> list:
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
+
+
+def grown_globals(module: str) -> set[str]:
+    """The module-level containers (a list, dict or set) that a function of
+    ``module`` grows: by a growing method, by a store to a subscript, or as
+    the argument of one of the module's own functions (as in
+    ``_extend(_p_table, k)``)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    bound, helpers, grown = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            helpers.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, CONTAINERS)
+            or getattr(getattr(node.value, "func", None), "id", None) in {"list", "dict", "set"}
+        ):
+            bound |= {target.id for target in targets(node) if isinstance(target, ast.Name)}
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in GROWERS and isinstance(node.func.value, ast.Name):
+                    grown.add(node.func.value.id)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers:
+                grown |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                grown |= {target.value.id for target in targets(node)
+                          if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)}
+    return grown & bound
+
+
+def test_only_recurrences_are_grown_tables():
+    """The memo rule: a direct formula is a per-key ``functools.cache``, so
+    the only module-level containers a function grows are the recurrence
+    tables, each entry of which needs the one before."""
+    grown = {module: grown_globals(module) for module in (path.stem for path in PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in grown.items() if names} == {
+        "classical": {"_p_table", "_v_table"},
+        "exactnum": {"_ls_rows"},
+    }

@@ -169,12 +169,17 @@ class TestRankDet:
         assert rank_exact([]) == 0
 
     def test_int_and_bool_entries(self):
-        """A matrix of plain ``int``s has an ``int`` determinant; ``bool``
-        entries count as 0 and 1."""
+        """A matrix of plain ``int``s has an ``int`` determinant; a ``bool``
+        entry is a ``TypeError``, as a ``float`` is."""
         assert type(det_exact([[3, 1], [4, 2]])) is int and det_exact([[3, 1], [4, 2]]) == 2
-        assert det_exact([[True, 2], [3, True]]) == -5 and type(det_exact([[True]])) is int
-        assert rank_exact([[True, False], [False, True]]) == 2
-        assert rank_exact([[True, True], [True, True]]) == 1 and rank_exact([[False]]) == 0
+        for m in ([[True, 2], [3, True]], [[True]], [[True, False], [False, True]], [[False]]):
+            for fn in (rank_exact, det_exact):
+                with pytest.raises(TypeError, match="got bool"):
+                    fn(m)
+        with pytest.raises(TypeError, match="got bool"):
+            rank_exact([[1, Fraction(1, 2)], [2, False]])
+        with pytest.raises(TypeError, match="got bool"):
+            det_exact([[1, Fraction(1, 2)], [2, False]])
 
     def test_float_entry_is_a_type_error(self):
         with pytest.raises(TypeError, match="float"):

@@ -321,6 +321,12 @@ class TestIntegerNumerators:
         with pytest.raises(TypeError, match="coefficients must be int or Fraction, got float"):
             classical_to_lograt(Q(2)) * 0.5
 
+    def test_bool_coefficients_are_a_type_error(self):
+        with pytest.raises(TypeError, match="coefficients must be int or Fraction, got bool"):
+            LogRat((Poly([True, 1]),))
+        with pytest.raises(TypeError, match="coefficients must be int or Fraction, got bool"):
+            LogRat((Poly.ONE, Poly([False, Fraction(1, 2)])))
+
     def test_text_prints_rational_coefficients(self):
         q2 = classical_to_lograt(Q(2))
         assert q2.den == 2
