@@ -292,6 +292,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; keep --version/-h at 0
         return int(exc.code or 0)
+    # exact values are printed in full; the arguments were parsed under the limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -50,7 +50,7 @@ def rational_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1.
 
     Every output goes through here, so anything inexact is a ``TypeError``."""
-    if not isinstance(q, (int, Fraction)):
+    if type(q) not in (int, Fraction):  # a bool or a float too
         raise TypeError(f"rational_str: expected int or Fraction, got {type(q).__name__}")
     if q.denominator == 1:
         return str(q.numerator)
@@ -96,8 +96,7 @@ def _lam_power(k: int, n: int) -> int:
 
 def harmonic(k: int) -> Fraction:
     """H_k = sum_{i=1..k} 1/i, with H_0 = 0."""
-    if type(k) is not int or k < 0:
-        require_int("harmonic", "k", k, 0)
+    require_int("harmonic", "k", k, 0)
     return _harmonic(k, 1)
 
 
@@ -144,6 +143,8 @@ def laguerre_ld_coefficient(j: int, n: int, k: int | Fraction) -> Fraction:
     require_int("laguerre_ld_coefficient", "n", n, 0)
     if j > n:
         raise ValueError(f"laguerre_ld_coefficient: need j <= n, got j = {j}, n = {n}")
+    if type(k) not in (int, Fraction):
+        raise TypeError(f"laguerre_ld_coefficient: k must be int or Fraction, got {type(k).__name__}")
     total = 0
     for i in range(j + 1):
         sign = -1 if (i + j) % 2 else 1

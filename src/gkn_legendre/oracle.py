@@ -29,12 +29,12 @@ kills the logarithm.
 Where an operand is canonical, the pole of the result follows by rule, and
 ``_trusted`` builds it with only the content gcd and the zero form left to
 do.  ``derivative`` raises each pole by one unless it is 0 and N1, N2 vanish
-at that end; then exactly one factor cancels, and the numerators are built
-already divided.  The a_k product lowers each pole by up to k and multiplies
-by what is left of (1-x**2)**k.  An endpoint limit with no pole and N1, N2
-zero at that end is N0's value there.  Trial division by (1 -+ x) is left to
-``_sum``, where a sum's poles cancel by no rule, and to ``order_at``, which
-counts the orders a divergence message names.
+at that end; then exactly one factor cancels.  The a_k product lowers each
+pole by up to k and multiplies by what is left of (1-x**2)**k.  An endpoint
+limit with no pole and N1, N2 zero at that end is N0's value there.  Trial
+division by (1 -+ x) is left to ``_sum``, where a sum's poles cancel by no
+rule, and to ``order_at``, which counts the orders a divergence message
+names.
 
 The boundary form, the Lagrangian expansion of the operator power and the
 endpoint conditions read the same chains, built by ``_lagrangian_chains``:
@@ -46,11 +46,12 @@ boundary form multiplies each chain pair straight into plain ``int``
 coefficient lists (``_multiply_into``, the one product loop, which
 ``LogRat * LogRat`` uses too), grouped by the product's denominator; each
 group is lifted once to the common denominator and the sum becomes one
-``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative`` builds
-each new numerator N_m = sum c_i x**i in one pass over its coefficients:
-coefficient i is (i+1) c_(i+1) + (a-b) c_i + (a+b+1-i) c_(i-1) plus
-(m+1) times coefficient i of N_(m+1), or, where a factor cancels, the
-same divided by it.
+``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative`` takes
+three steps: a polynomial (no pole, N1 = N2 = 0) is ``Poly.derivative`` of
+N0 over the same den; anything else gets one formula, coefficient i of the
+new N_m = sum c_i x**i being (i+1) c_(i+1) + (a-b) c_i + (a+b+1-i) c_(i-1)
+plus (m+1) times coefficient i of N_(m+1); and where the pole rule says a
+factor cancels, all three numerators are divided by it once.
 """
 
 from __future__ import annotations
@@ -184,44 +185,33 @@ class LogRat:
     __rmul__ = __mul__
 
     def derivative(self) -> "LogRat":
+        # A polynomial's derivative is N0' over the same den.  Otherwise
         # (N/D)' = (N'(1-x**2) + N (a(1+x) - b(1-x))) / (D (1-x**2)), and
         # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2): coefficient i
         # of the new N_m is (i+1) c_{i+1} + (a-b) c_i + (a+b+1-i) c_{i-1} + (m+1) N_{m+1}[i].
         # At x = 1 the new N_m is 2a N_m(1) + (m+1) N_{m+1}(1); the input is
-        # canonical, so all three vanish only if a = 0 and N1(1) = N2(1) = 0.
-        # Then N (a(1+x) - b(1-x)) = -b N (1-x) and N_{m+1} = (1-x) Q_{m+1}, so
-        # over (1-x) coefficient i is (i+1) c_{i+1} + (i-b) c_i + (m+1) Q_{m+1}[i]
-        # and the pole stays 0.  Likewise at -1 with b = 0, where (i-b) becomes
-        # (a-i); where both cancel, neither c_i nor c_{i-1} is left.
+        # canonical, so all three vanish only if a = 0 and N1(1) = N2(1) = 0,
+        # and then exactly one factor (1-x) cancels.  Likewise at -1 with b.
         a, b = self.pow_one_minus, self.pow_one_plus
-        _, n1, n2 = self.nums
-        carry = n1, n2
-        minus = a == 0 and not n1(1) and not n2(1)
-        plus = b == 0 and not n1(-1) and not n2(-1)
-        if n1 or n2:
-            if minus:
-                carry = _divided(carry, 1)
-            if plus:
-                carry = _divided(carry, -1)
-        slope, turn, tilt = a - b, minus - plus, a + b + 1
+        n0, n1, n2 = self.nums
+        if not (a or b or n1 or n2):
+            return _trusted((n0.derivative(), n1, n2), 0, 0, self.den)
         nums = []
         for m, p in enumerate(self.nums):
-            more = carry[m].coeffs if m < 2 else ()
-            if not p:
-                nums.append(Poly([(m + 1) * e for e in more]) if more else p)
-                continue
-            if minus or plus:
-                c = [*p.coeffs, 0]
-                new = [(i + 1) * hi + (slope + turn * i) * mid for i, (mid, hi) in enumerate(zip(c, c[1:]))]
-            else:
-                c = [0, *p.coeffs, 0, 0]
-                triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
-                new = [(i + 1) * hi + slope * mid + (tilt - i) * lo for i, (lo, mid, hi) in triples]
+            c = [0, *p.coeffs, 0, 0]
+            triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
+            new = [(i + 1) * hi + (a - b) * mid + (a + b + 1 - i) * lo for i, (lo, mid, hi) in triples]
+            more = self.nums[m + 1].coeffs if m < 2 else ()
             new.extend([0] * (len(more) - len(new)))
             for i, e in enumerate(more):
                 new[i] += (m + 1) * e
             nums.append(Poly(new))
-        return _trusted(tuple(nums), a + 1 - minus, b + 1 - plus, self.den)
+        nums, a, b = tuple(nums), a + 1, b + 1
+        if a == 1 and not n1(1) and not n2(1):
+            nums, a = _divided(nums, 1), 0
+        if b == 1 and not n1(-1) and not n2(-1):
+            nums, b = _divided(nums, -1), 0
+        return _trusted(nums, a, b, self.den)
 
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative

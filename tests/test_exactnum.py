@@ -158,6 +158,12 @@ class TestLaguerreCoefficient:
     def test_integer_k_gives_an_exact_value(self):
         assert not isinstance(laguerre_ld_coefficient(1, 2, 1), float)
 
+    @pytest.mark.parametrize("k", [True, 0.5])
+    def test_k_outside_the_number_rule_is_a_type_error(self, k):
+        message = f"^laguerre_ld_coefficient: k must be int or Fraction, got {type(k).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            laguerre_ld_coefficient(1, 2, k)
+
     @pytest.mark.parametrize("j,n", [(0, 4), (1, 3), (2, 5), (3, 3), (4, 6)])
     def test_brute_force_resummation(self, j, n):
         # independent summation order: iterate i downward and divide late
@@ -200,6 +206,10 @@ class TestSerialization:
     def test_inexact_value_is_a_type_error(self):
         with pytest.raises(TypeError, match="float"):
             rational_str(0.5)
+
+    def test_bool_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^rational_str: expected int or Fraction, got bool$"):
+            rational_str(True)
 
     def test_pipair(self):
         p = PiPair(Fraction(2, 3), Fraction(1, 18))

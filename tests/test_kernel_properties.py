@@ -17,7 +17,8 @@ the parity blocks of B on balanced ones.  The oracle's ``LogRat`` is checked to 
 construction (``int`` numerators over one den that shares no content with
 them, from ``int`` and ``Fraction`` input), with an equality that agrees
 with cross-multiplication, and its boundary form and brackets are checked to be antisymmetric on random
-pairs of classical functions.  Its derivative, derivative chains, a_k
+pairs of classical functions.  ``Poly.derivative`` is checked against its
+laws; the oracle's derivative, derivative chains, a_k
 product and boundary form are compared with references built from ``Poly``
 operations (a term-by-term canonical fold for the form), and the form is
 pinned to one canonical form per call.  Every value built without the
@@ -665,6 +666,24 @@ def test_values_stay_exact(f, g, n):
 # puts every product and partial sum into canonical form.
 
 ONE_MINUS_X2 = ONE_MINUS_X * ONE_PLUS_X
+int_polys = st.lists(st.integers(-9, 9), max_size=6).map(Poly)
+polys = st.one_of(int_polys, st.lists(coefficients, max_size=6).map(Poly))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, coefficients, st.integers(0, 8))
+def test_poly_derivative_obeys_its_laws(p, q, c, k):
+    """``Poly.derivative``, which the oracle takes of every polynomial and
+    the references below use, against laws that take no derivative:
+    linearity, the product rule with ``Poly.__mul__``, and
+    d/dx x**k = k x**(k-1).  ``int`` coefficients stay ``int``s."""
+    d = Poly.derivative
+    assert d(p + c * q) == d(p) + c * d(q)
+    assert d(p * q) == d(p) * q + p * d(q)
+    assert d(Poly([0] * k + [1])) == Poly([0] * (k - 1) + [k])
+    for r in (p, q):
+        if all(type(e) is int for e in r.coeffs):
+            assert all(type(e) is int for e in d(r).coeffs)
 
 
 def reference_derivative(e):

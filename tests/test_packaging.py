@@ -1,5 +1,6 @@
-"""Package metadata that must not drift from the code."""
+"""Package metadata and documentation that must not drift from the code."""
 
+import doctest
 import importlib
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 import gkn_legendre
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_pyproject_version_matches_package():
@@ -44,3 +46,10 @@ def test_namespace_is_the_union_of_the_engine_modules():
             assert getattr(gkn_legendre, name) is getattr(module, name), name
     assert len(PUBLISHED) == 38
     assert PUBLISHED <= set(gkn_legendre.__all__)
+
+
+def test_readme_library_usage_runs_as_shown():
+    """README's "Library usage" examples are doctests with their stated
+    results; the count keeps a block that stops being a doctest from passing."""
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert (result.failed, result.attempted) == (0, 11)

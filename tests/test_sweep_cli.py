@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,7 +7,10 @@ import gkn_legendre.cli as cli_module
 import gkn_legendre.matrices as matrices_module
 import gkn_legendre.sweep as sweep_module
 import gkn_legendre.verify as verify_module
+from gkn_legendre.brackets import bracket
+from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.cli import main
+from gkn_legendre.exactnum import rational_str
 from gkn_legendre.matrices import IndexSelection, parity_census
 from gkn_legendre.sweep import (
     LEDGER_ENV_VAR,
@@ -283,6 +287,23 @@ class TestCliBracket:
 
     def test_bad_power_is_usage_error(self, capsys):
         assert main(["bracket", "P", "0", "Q", "1", "--n", "0"]) == 2
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_value_past_the_int_to_str_digit_limit(self, capsys):
+        """[Q2, Q20000]_3 is a Fraction of 8690 over 8671 digits: it prints in
+        full although Python's default limit for int-to-str is 4300 digits."""
+        limit = sys.get_int_max_str_digits()
+        try:
+            for verbose in ([], ["-v"]):
+                sys.set_int_max_str_digits(4300)
+                assert main(["bracket", "Q", "2", "Q", "20000", "--n", "3", *verbose]) == 0
+                value = bracket(ClassicalFunction("Q", 2), ClassicalFunction("Q", 20000), 3)
+                text = rational_str(value)
+                assert [len(part) for part in text.split("/")] == [8690, 8671]
+                first = capsys.readouterr().out.splitlines()[0]
+                assert first == (f"[Q2,Q20000]_3 = {text}" if verbose else text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_oracle_mismatch_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(
