@@ -85,6 +85,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        require_int("Poly.__pow__", "n", n, 0)
         result = Poly([1])
         base = self
         while n:

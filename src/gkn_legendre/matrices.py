@@ -8,17 +8,14 @@ fraction-free (Bareiss) elimination, a rank piece by the same elimination
 mod the prime P = 2**61 - 1, which proves the rank when it reaches the
 piece's smaller side, and by exact Bareiss only where it falls short.
 
-The rank splits off rows R whose nonzeros all lie in a column set S, so that
-the matrix is [[X, 0], [Y, Z]] with X = M[R, S] of full column rank: X clears
-Y, and the rank is |S| + rank Z.  Where the rows and the columns in play
-are one index set and columns R are minus rows R (M[i, j] = -M[j, i] for j
-in R, checked on the values at the split), rows and columns R and S split
-off together, for rank 2|S|: M[S, R] = -X^T clears the rest of rows S, and
-the zero M[r, r] of the row r whose nonzeros span S keeps R and S disjoint.
-What no such R splits is eliminated whole.  A bracket matrix is
-skew, as the form of Green's formula is, and splits in pairs because
-brackets of opposite parity and P-P brackets vanish, but the rule is exact
-for every matrix.
+The rank splits a square matrix at rows R whose nonzeros all lie in a
+column set S, with X = M[R, S] of full column rank, where columns R are
+minus rows R (M[i, j] = -M[j, i], checked on the values at the split): rows
+and columns R and S leave together, for rank 2|S|, and what is left is
+split again.  What no such R splits, and a matrix that is not square, is
+eliminated whole.  A bracket matrix is skew, as the form of Green's formula
+is, and splits in pairs because brackets of opposite parity and P-P
+brackets vanish.
 The determinant eliminates the whole matrix in one pass.
 """
 
@@ -225,29 +222,24 @@ def _rank_piece(piece: list[list[int]]) -> int:
 def rank_exact(matrix) -> int:
     """Exact rank of a rational matrix.
 
-    Take a column set S and the rows R whose nonzeros all lie in it, so that
-    up to order the matrix is [[X, 0], [Y, Z]] with X = M[R, S].  If X has
-    full column rank |S|, its rows span every row of Y, so row operations
-    clear Y without touching Z and the rank is |S| + rank Z.  Each distinct
-    row mask is tried as S, the first proper R with |R| >= |S| and X of rank
-    |S| is taken, and the rule repeats on Z; what is left when none is found
-    is eliminated in one piece.
-
-    When the rows in play and the columns in play are the same index set,
-    and M[i, j] = -M[j, i] for every j in R and every row i in play (checked
-    on the values at each split), the split takes rows and columns R and S
-    together and adds 2|S|.  Rows R are zero outside columns S, so columns R
-    are zero outside rows S, and M[S, R] = -X^T has full row rank |S|:
-    column operations clear the rest of rows S, and what is left is M[T, T]
-    for the indices T outside R and S, again one index set for rows and
-    columns.  R and S are disjoint: S is the mask of a row r in R, the check
-    gives M[r, r] = 0, so r is not in S, and each i in S has the nonzero
-    M[i, r] = -M[r, i] outside S and is not in R.  A skew matrix passes the
-    check at every split; where it fails, rows R leave alone.  Each piece is
-    extracted once, its denominators cleared unless all ``int``, and ranked
-    by ``_rank_piece``: mod ``P`` first, which is sound in one direction only
-    (a rank mod ``P`` of min(rows, cols) is the rank, a lower one proves
-    nothing), then exactly where that falls short.
+    The rows and columns in play are one index set.  Take a column set S and
+    the rows R whose nonzeros all lie in it, with M[i, j] = -M[j, i] for
+    every j in R and every row i in play (checked on the values at each
+    split) and X = M[R, S] of full column rank |S|.  Rows R are zero outside
+    columns S, so columns R are zero outside rows S, and M[S, R] = -X^T has
+    full row rank |S|: row operations by X clear columns S outside rows R,
+    column operations by -X^T clear rows S outside columns R, and the rank is
+    2|S| plus that of M[T, T] for the indices T outside R and S.  R and S are
+    disjoint: S is the mask of a row r in R, the check gives M[r, r] = 0, so
+    r is not in S, and each i in S has the nonzero M[i, r] = -M[r, i] outside
+    S and is not in R.  Each distinct row mask is tried as S, the first
+    proper R with |R| >= |S| that passes is taken, and the rule repeats on
+    M[T, T]; what is left when none passes, or a matrix that is not square,
+    is one piece.  A skew matrix passes the value check at every split.
+    Each piece is extracted once, its denominators cleared unless all
+    ``int``, and ranked by ``_rank_piece``: mod ``P`` first, which is sound
+    in one direction only (a rank mod ``P`` of min(rows, cols) is the rank, a
+    lower one proves nothing), then exactly where that falls short.
     """
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
@@ -262,23 +254,21 @@ def rank_exact(matrix) -> int:
             piece = _integer_rows(piece)[0]
         return _rank_piece(piece)
 
-    rows, live, cols, rank = list(range(len(matrix))), (1 << len(matrix)) - 1, sum(bits), 0
-    while rows:  # each pass splits off one R, with S the mask s; live is the rows' mask
-        for s in dict.fromkeys([masks[i] & cols for i in rows]):
-            tight = [i for i in rows if masks[i] & cols | s == s]
+    rows, live, rank = list(range(len(matrix))), sum(bits), 0
+    if len(bits) != len(rows):
+        return rank_of(rows, live)
+    while rows:  # each pass splits off one R and its S; live is the indices' mask
+        for s in dict.fromkeys([masks[i] & live for i in rows]):
+            tight = [i for i in rows if masks[i] & live | s == s]
             k = s.bit_count()
-            if k <= len(tight) < len(rows) and (not k or rank_of(tight, s) == k):
+            if (k <= len(tight) < len(rows)
+                    and all(matrix[i][j] == -matrix[j][i] for j in tight for i in rows)
+                    and (not k or rank_of(tight, s) == k)):
                 break
         else:
-            return rank + rank_of(rows, cols)
-        rank += k
-        out = sum(1 << i for i in tight)
-        if cols == live and all(
-            matrix[i][j] == -matrix[j][i] for j in tight for i in rows
-        ):  # columns R are -(rows R): R and S leave as rows and as columns
-            rank += k
-            out = s = s | out
-        live, cols = live & ~out, cols & ~s
+            return rank + rank_of(rows, live)
+        rank += 2 * k
+        live &= ~(s | sum(1 << i for i in tight))
         rows = [i for i in rows if live >> i & 1]
     return rank
 

@@ -32,6 +32,7 @@ class TestPoly:
         assert (p * p).coeffs == (1, 2, 1)
         assert not p - p
         assert (p**3).coeffs == (1, 3, 3, 1)
+        assert (p**0).coeffs == (1,)
         assert p.derivative().coeffs == (1,)
         assert p(Fraction(1, 2)) == Fraction(3, 2)
 

@@ -233,6 +233,7 @@ RULE_TABLE = [
     ("LogRat", "den", 1, lambda v: LogRat((Poly([2]),), 0, 0, v), 2, ONE),
     ("harmonic", "k", 0, harmonic, 3, Fraction(11, 6)),
     ("harmonic2", "k", 0, harmonic2, 2, Fraction(5, 4)),
+    ("Poly.__pow__", "n", 0, lambda v: Poly([1, 1]) ** v, 2, Poly([1, 2, 1])),
     ("legendre_p", "k", 0, legendre_p, 2, Poly([Fraction(-1, 2), 0, Fraction(3, 2)])),
     ("legendre_q", "k", 0, legendre_q, 1, QRepresentation(Poly.X, Poly.ONE)),
     ("q_norm_squared", "k", 0, q_norm_squared, 0, PiPair(0, Fraction(1, 6))),

@@ -238,11 +238,11 @@ def test_skew_rank_matches_reference(m):
 
 
 def test_pair_split_reads_values():
-    """Rows and columns R and S leave together only if the rows and columns
-    in play are one index set and M[i, j] = -M[j, i] in value for every j in
-    R and every row i in play, the diagonal included; otherwise rows R leave
-    alone.  Each matrix here fails that check at a split, and a pair split
-    there would give the wrong rank."""
+    """Rows and columns R and S leave together only if the matrix is square
+    and M[i, j] = -M[j, i] in value for every j in R and every row i in play,
+    the diagonal included; where the check fails, nothing splits there.  Each
+    matrix here fails that check at a split, and a pair split there would
+    give the wrong rank."""
     assert rank_exact([[0, 0, 1, 1], [0, 0, 1, 2], [1, 1, 0, 0], [1, 1, 0, 0]]) == 3  # skew zeros, symmetric values
     assert rank_exact([[0, 1], [0, 0]]) == 1
     assert rank_exact([[1, -1, 0], [1, 0, 2], [0, -2, 0]]) == 3  # R and S would meet
@@ -288,8 +288,9 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     pieces and 1312 cells (the 1184 balanced ones) and 3488 pieces and 15848
     cells (the 1952 unbalanced ones), and exactly their rank-deficient
     pieces reach the exact elimination.  Rows whose nonzeros lie in fewer
-    columns than there are rows split off too, and a row set whose X is short
-    of full column rank is passed over for the next one.  A matrix with no
+    columns than there are rows split off too, and in a skew matrix a row set
+    whose X is short of full column rank is passed over for the next one.  A
+    matrix that is not square, or not skew where it would split, or has no
     zero entry is one piece, whole, and every matrix whose determinant is
     asked for reaches the exact elimination once, whole.  No piece is empty."""
     pieces, exact = spy_pieces(monkeypatch)
@@ -305,16 +306,23 @@ def test_kernel_eliminates_each_block_on_its_own(monkeypatch):
     assert exact == [pieces[1]]  # the antisymmetric 3 x 3 is singular
     pieces.clear()
     exact.clear()
-    tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
-    assert rank_exact(tall) == 4
-    assert [(len(m), len(m[0])) for m in pieces] == [(3, 2), (2, 2)]
-    pieces.clear()
-    singular_first = [[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 2]]
-    assert rank_exact(singular_first) == 3
-    assert [(len(m), len(m[0])) for m in pieces] == [(2, 2), (2, 2), (2, 1)]
-    assert exact == [[[1, 1], [1, 1]]]
+    # rows 0, 3, 4 lie in columns 1, 2, 5 with X of rank 2: passed over for
+    # row 2 on column 0, then rows 3, 4, 5 on column 1
+    passed_over = [[0, 1, 1, 0, 0, -1], [-1, 0, 0, 1, 1, 1], [-1, 0, 0, 0, 0, 0],
+                   [0, -1, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]]
+    assert rank_exact(passed_over) == 4
+    assert pieces == [[[1, 1, -1], [-1, 0, 0], [-1, 0, 0]], [[-1]], [[-1], [-1], [-1]]]
+    assert exact == [pieces[0]]
     pieces.clear()
     exact.clear()
+    tall = [[1, 2, 0, 0], [3, 4, 0, 0], [5, 7, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
+    wide = [[0, 1, 2], [-1, 0, 0]]  # skew on its first two columns
+    triangular = [[1, 2, 0, 0], [3, 4, 0, 0], [1, 1, 2, 3], [2, 0, 4, 5]]
+    for m, r in ((tall, 4), (wide, 2), (triangular, 4)):
+        assert rank_exact(m) == r
+        assert pieces == [m]
+        pieces.clear()
+    assert exact == []
     dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     assert rank_exact(dense) == 3
     assert pieces == [dense] and exact == []
@@ -415,7 +423,7 @@ def test_kernel_sees_int_rows(monkeypatch):
 def test_pieces_singular_mod_p_fall_back_to_the_exact_rank(monkeypatch):
     """A full-rank piece that is singular mod P is not certified: it reaches
     the exact elimination as it is, and its rank is the exact one.
-    So do [[P]], the second piece of [[P, 1], [0, 1]], and the piece holding
+    So do [[P]], [[P, 1], [0, 1]] as one piece, and the piece holding
     row P0 of a canonical matrix conjugated by diag(P, 1, ..., 1), which
     stays skew; no other piece reaches it."""
     P = kernel.P
@@ -425,7 +433,7 @@ def test_pieces_singular_mod_p_fall_back_to_the_exact_rank(monkeypatch):
     pieces.clear()
     exact.clear()
     assert rank_exact([[P, 1], [0, 1]]) == 2
-    assert pieces == [[[1]], [[P]]] and exact == [[[P]]]
+    assert pieces == exact == [[[P, 1], [0, 1]]]
     for n in range(1, 9):
         pieces.clear()
         exact.clear()

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 
@@ -341,6 +343,16 @@ class TestCliMatrix:
     def test_missing_selection_is_usage_error(self, capsys):
         assert main(["matrix", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--p", "5", "--q", "7"], "--p, --q"), (["--p", "5"], "--p"), (["--q="], "--q")],
+    )
+    def test_canonical_with_explicit_indices_is_usage_error(self, flags, named, capsys):
+        assert main(["matrix", "--canonical", "--n", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --canonical does not take {named}\n"
+
     @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
     @pytest.mark.parametrize(
         "selection, block",
@@ -474,6 +486,16 @@ class TestCliSweep:
         main(["sweep", "--n", "1", "--pool", "2", "--ledger", ledger, "--format", "json"])
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert all(json.loads(l)["full_rank"] for l in lines)
+
+    def test_csv_output_is_csv(self, tmp_path, capsys):
+        # each key holds commas, so it is quoted; a reader sees the header's 5 fields
+        ledger = str(tmp_path / "s.jsonl")
+        main(["sweep", "--n", "2", "--pool", "3", "--ledger", ledger, "--format", "csv"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "n", "rank", "full_rank", "det_B"]
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == [rec["key"] for rec in read_ledger(ledger)]
+        assert [row[4] for row in rows[1:]] == [rec["det_B"] for rec in read_ledger(ledger)]
 
     def test_unfiltered_sweep_persists_deficient_without_failing(self, tmp_path, capsys):
         ledger = str(tmp_path / "s.jsonl")
