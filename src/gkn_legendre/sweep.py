@@ -14,10 +14,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from . import __version__
 from .exactnum import rational_str, require_int
@@ -26,6 +24,17 @@ from .matrices import IndexSelection, b_block, build_matrix, det_exact, enumerat
 __all__ = ["RunConfig", "SweepRecord", "evaluate_selection", "run_sweep"]
 
 LEDGER_ENV_VAR = "GKN_LEDGER"
+
+
+def __getattr__(name):
+    # the pool is imported on first use, as concurrent.futures defers it:
+    # only a sweep with more than one worker pays for multiprocessing
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -137,9 +146,11 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
         kind = "parity-balanced selection" if config.parity_filter else "selection"
         raise ValueError(f"pool bound {config.pool_bound} admits no {kind} for n={config.power}")
     done = _load_ledger_keys(config.ledger_path)
-    todo = [sel for sel in candidates if sel.key() not in done]
+    todo = [sel for sel in candidates if sel.key() not in done] if done else candidates
     if not todo:
         return []
+
+    from datetime import datetime, timezone
 
     directory = os.path.dirname(config.ledger_path)
     if directory:
@@ -147,7 +158,9 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     stamp = datetime.now(timezone.utc).isoformat()
     records = []
     workers = min(config.workers, len(todo))  # the pool forks every worker up front
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    # read through the module: the first read imports the pool, and a class
+    # bound there in its place (a tracer's, a test's) is the one started
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with open(config.ledger_path, "a+b") as fh, pool:
         end = fh.tell()
         if end:

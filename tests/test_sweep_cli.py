@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,27 @@ class TestSweepLedger:
             assert [r.key() for r in run_sweep(cfg)] == [r.key() for r in full][-left:]
             assert started == pool_size
             assert strip(read_ledger(str(path))) == strip(read_ledger(str(tmp_path / "full.jsonl")))
+
+    def test_each_selection_is_keyed_once(self, tmp_path, monkeypatch):
+        # a fresh sweep keys each record once, as it is written; a resumed one
+        # also keys every candidate once, to filter out what the ledger holds
+        keyed = []
+        key = IndexSelection.key
+
+        def counted(sel):
+            keyed.append(sel)
+            return key(sel)
+
+        monkeypatch.setattr(IndexSelection, "key", counted)
+        cfg = RunConfig(power=2, pool_bound=4, ledger_path=str(tmp_path / "spy.jsonl"))
+        fresh = run_sweep(cfg)
+        assert fresh and keyed == [r.selection for r in fresh]
+        lines = (tmp_path / "spy.jsonl").read_bytes().splitlines(keepends=True)
+        (tmp_path / "spy.jsonl").write_bytes(b"".join(lines[:-3]))
+        keyed.clear()
+        resumed = run_sweep(cfg)
+        assert [r.selection for r in resumed] == [r.selection for r in fresh][-3:]
+        assert keyed == [r.selection for r in fresh] + [r.selection for r in resumed]
 
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
@@ -616,3 +641,55 @@ class TestCliSmallVerbs:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+
+def run_fresh(code: str, cwd) -> None:
+    """Run ``code`` in a fresh interpreter, warnings as errors, importing the
+    package from this checkout's ``src``; it passes if it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", textwrap.dedent(code)],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestStartUp:
+    """Every verb starts without the process pool or the clock: only a sweep
+    with more than one worker imports the pool, on first use."""
+
+    def test_cli_import_loads_neither_pool_nor_clock(self, tmp_path):
+        run_fresh("""
+            import sys
+            import gkn_legendre.cli
+            from gkn_legendre import sweep
+            loaded = {"concurrent.futures", "multiprocessing", "datetime"} & set(sys.modules)
+            assert not loaded, loaded
+            pool = sweep.ProcessPoolExecutor
+            import concurrent.futures
+            assert pool is concurrent.futures.ProcessPoolExecutor
+            assert vars(sweep)["ProcessPoolExecutor"] is pool
+            assert not hasattr(sweep, "NoSuchName")
+        """, tmp_path)
+
+    def test_two_worker_sweep_imports_the_pool_on_first_use(self, tmp_path):
+        run_fresh("""
+            import hashlib, io, json, sys
+            from contextlib import redirect_stdout
+            from gkn_legendre import cli, sweep
+
+            def sweep_digest(workers):
+                ledger = f"w{workers}.jsonl"
+                argv = ["sweep", "--n", "2", "--pool", "4", "--workers", str(workers), "--ledger", ledger]
+                with redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                with open(ledger, encoding="utf-8") as fh:
+                    records = [json.loads(line) for line in fh]
+                lines = sorted(f"{r['key']}|{r['rank']}|{r['det_B']}\\n" for r in records)
+                return len(records), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+            serial = sweep_digest(1)
+            assert "concurrent.futures" not in sys.modules
+            assert "ProcessPoolExecutor" not in vars(sweep)
+            assert sweep_digest(2) == serial and serial[0] > 2
+            import concurrent.futures
+            assert vars(sweep)["ProcessPoolExecutor"] is concurrent.futures.ProcessPoolExecutor
+        """, tmp_path)
