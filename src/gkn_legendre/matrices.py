@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations, compress
 
 from .brackets import bracket
@@ -49,7 +49,7 @@ __all__ = [
 P = 2**61 - 1  # the prime of the rank certificate
 
 # one per (kind, index), called only with indices IndexSelection checked (True == 1 as a key)
-_label = cache(ClassicalFunction)
+_p_label, _q_label = (cache(partial(ClassicalFunction, kind)) for kind in "PQ")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class IndexSelection:
 
     @property
     def labels(self) -> tuple[ClassicalFunction, ...]:
-        kinds = "P" * len(self.p_indices) + "Q" * len(self.q_indices)
-        return tuple(map(_label, kinds, self.p_indices + self.q_indices))
+        return (*map(_p_label, self.p_indices), *map(_q_label, self.q_indices))
 
     def key(self) -> str:
         p = ",".join(map(str, self.p_indices))
@@ -124,7 +123,7 @@ class BracketMatrix:
 def build_matrix(sel: IndexSelection) -> BracketMatrix:
     """Populate the full bracket matrix for a selection, P-block first."""
     labels, n = sel.labels, sel.power
-    entries = tuple(tuple([bracket(f, g, n) for g in labels]) for f in labels)
+    entries = tuple([tuple([bracket(f, g, n) for g in labels]) for f in labels])
     return BracketMatrix(entries, labels, n)
 
 
@@ -164,45 +163,43 @@ def _integer_rows(matrix) -> tuple[list[list[int]], int]:
 
 def _bareiss(m: list[list[int]], p: int = 0) -> tuple[int, int] | int:
     """(rank, det) of an integer matrix by one pass of fraction-free
-    elimination, which overwrites ``m``; with a modulus ``p``, only the rank
-    mod ``p``, from a reduced copy.
+    elimination, which leaves ``m`` as it is; with a modulus ``p``, only the
+    rank mod ``p``.
 
-    The determinant is 0 unless the matrix is square of full rank, where it
-    is the last pivot up to the sign of the row swaps.  The empty matrix has
-    rank 0 and determinant 1.  Mod a prime ``p`` each row is updated as
-    (pivot*a - factor*b) % p with no division: the pivot is a unit, so this
-    is a row operation over GF(p) and gives the rank there.  This is the only
-    elimination loop: ``rank_exact`` runs it on each piece that its splitting
-    rule leaves, mod ``P`` and exactly where that falls short, ``det_exact``
-    once on the whole matrix.
+    Each pivot row, the first left with a nonzero (mod ``p``) in its column,
+    leaves the rows, and each other row left becomes (pivot*a - factor*b)
+    // prev, whole.  The determinant is 0 unless the matrix is square of full
+    rank, where it is the last pivot up to the sign of the rows the pivot
+    rows passed.  The empty matrix has rank 0 and determinant 1.  Mod a prime
+    ``p`` each row becomes (pivot*a - factor*b) % p with no division: the
+    pivot is a unit, so this is a row operation over GF(p) and gives the rank
+    there.  This is the only elimination loop: ``rank_exact`` runs it on each
+    piece that its splitting rule leaves, mod ``P`` and exactly where that
+    falls short, ``det_exact`` once on the whole matrix.
     """
-    if p:
-        m = [[x % p for x in row] for row in m]
+    rows = list(m)  # the rows not yet pivots; each step replaces them, never changes one
     nrows, ncols = len(m), len(m[0]) if m else 0
     rank, sign, prev = 0, 1, 1
     for col in range(ncols):
-        if rank == nrows:
-            break
-        for piv in range(rank, nrows):
-            if m[piv][col]:
+        for k, top in enumerate(rows):
+            if top[col] % p if p else top[col]:
                 break
         else:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        del rows[k]
+        if k & 1:
             sign = -sign
-        top = m[rank]
         pivot = top[col]
-        for row in m[rank + 1 :]:
+        for i, row in enumerate(rows):
             factor = row[col]
-            pairs = zip(row[col + 1 :], top[col + 1 :])
-            row[col + 1 :] = (
-                [(pivot * a - factor * b) % p for a, b in pairs] if p
-                else [(pivot * a - factor * b) // prev for a, b in pairs]
+            rows[i] = (
+                [(pivot * a - factor * b) % p for a, b in zip(row, top)] if p
+                else [(pivot * a - factor * b) // prev for a, b in zip(row, top)]
             )
-            row[col] = 0  # never read again; frees the big entry
         prev = pivot
         rank += 1
+        if not rows:
+            break
     return rank if p else (rank, sign * prev if rank == nrows == ncols else 0)
 
 
@@ -217,6 +214,25 @@ def _rank_piece(piece: list[list[int]]) -> int:
     """
     full = min(len(piece), len(piece[0]))
     return full if _bareiss(piece, P) == full else _bareiss(piece)[0]
+
+
+def _integer_piece(piece: list[list]) -> list[list[int]]:
+    """A piece as plain ``int`` rows: its denominators cleared unless every
+    entry is already an ``int``."""
+    return _integer_rows(piece)[0] if Fraction in map(type, chain(*piece)) else piece
+
+
+def _skew_piece(matrix, tight, rows, cols) -> list[list] | None:
+    """X = M[tight, cols] if M[i][j] == -M[j][i] for every j in ``tight`` and
+    i in ``rows``, else None."""
+    piece = []
+    for j in tight:
+        row = matrix[j]
+        for i in rows:
+            if matrix[i][j] != -row[i]:
+                return None
+        piece.append([row[c] for c in cols])
+    return piece
 
 
 def rank_exact(matrix) -> int:
@@ -244,31 +260,31 @@ def rank_exact(matrix) -> int:
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
     _check_entries(matrix)
-    bits = [1 << j for j in range(len(matrix[0]) if matrix else 0)]
+    rows = list(range(len(matrix)))
+    if matrix and len(matrix[0]) != len(rows):
+        return _rank_piece(_integer_piece(list(map(list, matrix))))
+    bits = [1 << i for i in rows]
     masks = [sum(compress(bits, row)) for row in matrix]
-
-    def rank_of(part, mask):
-        js = [j for j in range(mask.bit_length()) if mask >> j & 1]
-        piece = [[row[j] for j in js] for row in map(matrix.__getitem__, part)]
-        if not {int}.issuperset(map(type, chain(*piece))):
-            piece = _integer_rows(piece)[0]
-        return _rank_piece(piece)
-
-    rows, live, rank = list(range(len(matrix))), sum(bits), 0
-    if len(bits) != len(rows):
-        return rank_of(rows, live)
-    while rows:  # each pass splits off one R and its S; live is the indices' mask
-        for s in dict.fromkeys([masks[i] & live for i in rows]):
-            tight = [i for i in rows if masks[i] & live | s == s]
+    live, rank = sum(bits), 0
+    while rows:  # each pass splits off one R and its S; live is the mask of rows
+        tried = []
+        for r in rows:
+            s = masks[r] & live
+            if s in tried:
+                continue
+            tried.append(s)
+            out = live ^ s
+            tight = [t for t in rows if not masks[t] & out]
             k = s.bit_count()
-            if (k <= len(tight) < len(rows)
-                    and all(matrix[i][j] == -matrix[j][i] for j in tight for i in rows)
-                    and (not k or rank_of(tight, s) == k)):
-                break
+            if k <= len(tight) < len(rows):
+                x = _skew_piece(matrix, tight, rows, [j for j in rows if s >> j & 1])
+                if x is not None and (not k or _rank_piece(_integer_piece(x)) == k):
+                    break
         else:
-            return rank + rank_of(rows, live)
+            return rank + _rank_piece(_integer_piece(
+                [[row[j] for j in rows] for row in map(matrix.__getitem__, rows)]))
         rank += 2 * k
-        live &= ~(s | sum(1 << i for i in tight))
+        live &= ~(s | sum(map(bits.__getitem__, tight)))
         rows = [i for i in rows if live >> i & 1]
     return rank
 
@@ -279,7 +295,7 @@ def det_exact(matrix) -> int | Fraction:
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
     if {int}.issuperset(map(type, chain(*matrix))):
-        return _bareiss([list(row) for row in matrix])[1]
+        return _bareiss(matrix)[1]
     _check_entries(matrix)
     m, scale = _integer_rows(matrix)
     det = _bareiss(m)[1]
@@ -308,6 +324,25 @@ def parity_census(sel: IndexSelection) -> tuple[int, int]:
     return _census(sel.p_indices + sel.q_indices)
 
 
+def _selection_indices(n: int, pool_bound: int, parity_filter: bool):
+    """The (P, Q) index tuples of ``enumerate_selections``, in its order."""
+    require_int("enumerate_selections", "n", n, 1)
+    require_int("enumerate_selections", "pool_bound", pool_bound)
+    combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
+    for p, p_evens in combos:
+        for q, q_evens in combos:
+            if not parity_filter or p_evens + q_evens == n:
+                yield p, q
+
+
+def _trusted_selection(p: tuple[int, ...], q: tuple[int, ...], n: int) -> IndexSelection:
+    """IndexSelection(p, q, n) for tuples ``_selection_indices`` made, built
+    without the checks that they meet by construction."""
+    sel = object.__new__(IndexSelection)
+    sel.__dict__.update(p_indices=p, q_indices=q, power=n)
+    return sel
+
+
 def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     """All r = s = n selections from indices [0..pool_bound], in
     lexicographic order of the (P, Q) index tuples.
@@ -317,9 +352,5 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     and Q hold n indices each, that is evens(P) + evens(Q) == n, with the
     census taken once per combination.
     """
-    require_int("enumerate_selections", "pool_bound", pool_bound)
-    combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
-    for p, p_evens in combos:
-        for q, q_evens in combos:
-            if not parity_filter or p_evens + q_evens == n:
-                yield IndexSelection(p, q, n)
+    for p, q in _selection_indices(n, pool_bound, parity_filter):
+        yield IndexSelection(p, q, n)

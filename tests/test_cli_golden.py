@@ -3,8 +3,11 @@
 Each file under ``golden/cli`` is the exact text that one
 ``gkn-legendre`` command writes to one stream; the other stream is empty.
 The sweep writes into a fresh ledger, so its stdout holds no timestamp.
+``sweep-n2-pool3.jsonl`` is the ledger that sweep writes, with each
+record's timestamp masked.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,12 @@ def test_cli_output_matches_golden(name, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert (captured.out, captured.err) == ((expected, "") if stream == "out" else ("", expected))
+
+
+def test_sweep_ledger_matches_golden(tmp_path):
+    """Key order, separators, the det_B text and one stamp per record."""
+    ledger = tmp_path / "ledger.jsonl"
+    assert main(["sweep", "--n", "2", "--pool", "3", "--ledger", str(ledger)]) == 0
+    masked, stamps = re.subn(rb'"timestamp": "[^"]*"', b'"timestamp": "<timestamp>"', ledger.read_bytes())
+    assert masked == (GOLDEN / "sweep-n2-pool3.jsonl").read_bytes()
+    assert stamps == 18 and len(set(re.findall(rb'"timestamp": "[^"]*"', ledger.read_bytes()))) == 1

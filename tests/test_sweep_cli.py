@@ -58,6 +58,16 @@ class TestEnumeration:
     def test_empty_pool(self):
         assert list(enumerate_selections(3, 1)) == []
 
+    @pytest.mark.parametrize("n, error, message", [
+        (-1, ValueError, "n must be >= 1"),
+        (0, ValueError, "n must be >= 1"),
+        (2.0, TypeError, "n must be an int, got float"),
+        (True, TypeError, "n must be an int, got bool"),
+    ])
+    def test_n_follows_the_argument_rule(self, n, error, message):
+        with pytest.raises(error, match=f"^enumerate_selections: {message}$"):
+            list(enumerate_selections(n, 7))
+
     def test_deterministic_order_of_keys(self):
         keys = [s.key() for s in enumerate_selections(2, 4)]
         assert len(set(keys)) == len(keys)
@@ -202,6 +212,30 @@ class TestSweepLedger:
         resumed = run_sweep(cfg)
         assert [r.selection for r in resumed] == [r.selection for r in fresh][-3:]
         assert keyed == [r.selection for r in fresh] + [r.selection for r in resumed]
+
+    def test_only_a_fresh_sweep_validates_its_selections(self, tmp_path, monkeypatch):
+        # a fresh sweep builds each selection through IndexSelection's checks;
+        # a finished sweep's re-run and a resumed one key candidates built
+        # from the pool's own index tuples, and check none of them again
+        checked = []
+        post_init = IndexSelection.__post_init__
+
+        def counted(sel):
+            checked.append(sel)
+            post_init(sel)
+
+        monkeypatch.setattr(IndexSelection, "__post_init__", counted)
+        cfg = RunConfig(power=2, pool_bound=4, ledger_path=str(tmp_path / "spy.jsonl"))
+        fresh = run_sweep(cfg)
+        assert fresh and checked == [r.selection for r in fresh]
+        checked.clear()
+        assert run_sweep(cfg) == [] and checked == []
+        lines = (tmp_path / "spy.jsonl").read_bytes().splitlines(keepends=True)
+        (tmp_path / "spy.jsonl").write_bytes(b"".join(lines[:-3]))
+        resumed = run_sweep(cfg)
+        assert [r.selection for r in resumed] == [r.selection for r in fresh][-3:]
+        assert checked == []
+        assert [r["key"] for r in read_ledger(cfg.ledger_path)] == [r.key() for r in fresh]
 
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
