@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, compress
+from operator import ge
 
 from .brackets import bracket
 from .classical import ClassicalFunction
@@ -61,15 +62,16 @@ class IndexSelection:
     power: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p_indices", tuple(self.p_indices))
-        object.__setattr__(self, "q_indices", tuple(self.q_indices))
+        for name in ("p_indices", "q_indices"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if type(self.power) is not int or self.power < 1:
             require_int("IndexSelection", "power", self.power, 1)
         for name, idx in (("p_indices", self.p_indices), ("q_indices", self.q_indices)):
             for i in idx:
                 if type(i) is not int or i < 0:
                     require_int("IndexSelection", name, i, 0)
-            if list(idx) != sorted(set(idx)):
+            if any(map(ge, idx, idx[1:])):
                 raise ValueError(f"{name}: indices must be strictly increasing")
 
     @property
@@ -143,7 +145,7 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
 def _check_entries(matrix) -> None:
     """Every entry is an ``int`` or a ``Fraction``; the first that is not (a
     ``bool`` or a ``float`` too) is named in a ``TypeError``."""
-    if not {int, Fraction}.issuperset(map(type, chain(*matrix))):
+    if not set(map(type, chain(*matrix))) <= {int, Fraction}:
         bad = next(x for x in chain(*matrix) if type(x) not in (int, Fraction))
         raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}")
 
@@ -179,7 +181,7 @@ def _bareiss(m: list[list[int]], p: int = 0) -> tuple[int, int] | int:
     """
     rows = list(m)  # the rows not yet pivots; each step replaces them, never changes one
     nrows, ncols = len(m), len(m[0]) if m else 0
-    rank, sign, prev = 0, 1, 1
+    rank, sign, pivot = 0, 1, 1
     for col in range(ncols):
         for k, top in enumerate(rows):
             if top[col] % p if p else top[col]:
@@ -189,18 +191,17 @@ def _bareiss(m: list[list[int]], p: int = 0) -> tuple[int, int] | int:
         del rows[k]
         if k & 1:
             sign = -sign
-        pivot = top[col]
+        rank += 1
+        prev, pivot = pivot, top[col]
+        if not rows:
+            break
         for i, row in enumerate(rows):
             factor = row[col]
             rows[i] = (
                 [(pivot * a - factor * b) % p for a, b in zip(row, top)] if p
                 else [(pivot * a - factor * b) // prev for a, b in zip(row, top)]
             )
-        prev = pivot
-        rank += 1
-        if not rows:
-            break
-    return rank if p else (rank, sign * prev if rank == nrows == ncols else 0)
+    return rank if p else (rank, sign * pivot if rank == nrows == ncols else 0)
 
 
 def _rank_piece(piece: list[list[int]]) -> int:
@@ -219,7 +220,7 @@ def _rank_piece(piece: list[list[int]]) -> int:
 def _integer_piece(piece: list[list]) -> list[list[int]]:
     """A piece as plain ``int`` rows: its denominators cleared unless every
     entry is already an ``int``."""
-    return _integer_rows(piece)[0] if Fraction in map(type, chain(*piece)) else piece
+    return _integer_rows(piece)[0] if Fraction in set(map(type, chain(*piece))) else piece
 
 
 def _skew_piece(matrix, tight, rows, cols) -> list[list] | None:
@@ -260,12 +261,13 @@ def rank_exact(matrix) -> int:
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
     _check_entries(matrix)
-    rows = list(range(len(matrix)))
-    if matrix and len(matrix[0]) != len(rows):
-        return _rank_piece(_integer_piece(list(map(list, matrix))))
+    n = len(matrix)
+    if matrix and len(matrix[0]) != n:
+        return _rank_piece(_integer_piece(matrix))
+    rows = range(n)
     bits = [1 << i for i in rows]
     masks = [sum(compress(bits, row)) for row in matrix]
-    live, rank = sum(bits), 0
+    live, rank = (1 << n) - 1, 0
     while rows:  # each pass splits off one R and its S; live is the mask of rows
         tried = []
         for r in rows:
@@ -277,7 +279,12 @@ def rank_exact(matrix) -> int:
             tight = [t for t in rows if not masks[t] & out]
             k = s.bit_count()
             if k <= len(tight) < len(rows):
-                x = _skew_piece(matrix, tight, rows, [j for j in rows if s >> j & 1])
+                cols, rest = [], s
+                while rest:  # the indices of S, lowest first
+                    low = rest & -rest
+                    cols.append(low.bit_length() - 1)
+                    rest ^= low
+                x = _skew_piece(matrix, tight, rows, cols)
                 if x is not None and (not k or _rank_piece(_integer_piece(x)) == k):
                     break
         else:
@@ -291,7 +298,8 @@ def rank_exact(matrix) -> int:
 
 def det_exact(matrix) -> int | Fraction:
     """Exact determinant of a square rational matrix: an ``int`` when it is
-    integral, a ``Fraction`` otherwise.  Rows of plain ``int``s are only copied."""
+    integral, a ``Fraction`` otherwise.  A matrix of plain ``int``s goes to
+    ``_bareiss`` as it is, which leaves its input unchanged."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
     if {int}.issuperset(map(type, chain(*matrix))):
@@ -324,25 +332,6 @@ def parity_census(sel: IndexSelection) -> tuple[int, int]:
     return _census(sel.p_indices + sel.q_indices)
 
 
-def _selection_indices(n: int, pool_bound: int, parity_filter: bool):
-    """The (P, Q) index tuples of ``enumerate_selections``, in its order."""
-    require_int("enumerate_selections", "n", n, 1)
-    require_int("enumerate_selections", "pool_bound", pool_bound)
-    combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
-    for p, p_evens in combos:
-        for q, q_evens in combos:
-            if not parity_filter or p_evens + q_evens == n:
-                yield p, q
-
-
-def _trusted_selection(p: tuple[int, ...], q: tuple[int, ...], n: int) -> IndexSelection:
-    """IndexSelection(p, q, n) for tuples ``_selection_indices`` made, built
-    without the checks that they meet by construction."""
-    sel = object.__new__(IndexSelection)
-    sel.__dict__.update(p_indices=p, q_indices=q, power=n)
-    return sel
-
-
 def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     """All r = s = n selections from indices [0..pool_bound], in
     lexicographic order of the (P, Q) index tuples.
@@ -352,5 +341,10 @@ def enumerate_selections(n: int, pool_bound: int, parity_filter: bool = True):
     and Q hold n indices each, that is evens(P) + evens(Q) == n, with the
     census taken once per combination.
     """
-    for p, q in _selection_indices(n, pool_bound, parity_filter):
-        yield IndexSelection(p, q, n)
+    require_int("enumerate_selections", "n", n, 1)
+    require_int("enumerate_selections", "pool_bound", pool_bound)
+    combos = [(c, _census(c)[0]) for c in combinations(range(pool_bound + 1), n)]
+    for p, p_evens in combos:
+        for q, q_evens in combos:
+            if not parity_filter or p_evens + q_evens == n:
+                yield IndexSelection(p, q, n)

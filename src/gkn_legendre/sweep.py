@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .exactnum import rational_str, require_int
-from .matrices import (IndexSelection, _selection_indices, _trusted_selection, b_block, build_matrix,
-                       det_exact, enumerate_selections, rank_exact)
+from .matrices import IndexSelection, b_block, build_matrix, det_exact, enumerate_selections, rank_exact
 
 __all__ = ["RunConfig", "SweepRecord", "evaluate_selection", "run_sweep"]
 
@@ -145,19 +144,12 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     worker count.  Raises ValueError, before the ledger is read, if the pool
     admits no selection at all.
     """
-    n, pool, balanced = config.power, config.pool_bound, config.parity_filter
-    indices = list(_selection_indices(n, pool, balanced))
-    if not indices:
-        kind = "parity-balanced selection" if balanced else "selection"
-        raise ValueError(f"pool bound {pool} admits no {kind} for n={n}")
+    candidates = list(enumerate_selections(config.power, config.pool_bound, config.parity_filter))
+    if not candidates:
+        kind = "parity-balanced selection" if config.parity_filter else "selection"
+        raise ValueError(f"pool bound {config.pool_bound} admits no {kind} for n={config.power}")
     done = _load_ledger_keys(config.ledger_path)
-    if done:
-        # each candidate is keyed once, on a selection that skips the checks
-        # its indices meet, so a finished sweep's re-run validates none
-        candidates = (_trusted_selection(p, q, n) for p, q in indices)
-        todo = [sel for sel in candidates if sel.key() not in done]
-    else:
-        todo = list(enumerate_selections(n, pool, balanced))
+    todo = [sel for sel in candidates if sel.key() not in done] if done else candidates
     if not todo:
         return []
 

@@ -213,10 +213,9 @@ class TestSweepLedger:
         assert [r.selection for r in resumed] == [r.selection for r in fresh][-3:]
         assert keyed == [r.selection for r in fresh] + [r.selection for r in resumed]
 
-    def test_only_a_fresh_sweep_validates_its_selections(self, tmp_path, monkeypatch):
-        # a fresh sweep builds each selection through IndexSelection's checks;
-        # a finished sweep's re-run and a resumed one key candidates built
-        # from the pool's own index tuples, and check none of them again
+    def test_every_sweep_builds_each_candidate_once(self, tmp_path, monkeypatch):
+        # fresh, finished or resumed, a sweep walks the pool once: each
+        # candidate is built once, through IndexSelection's checks
         checked = []
         post_init = IndexSelection.__post_init__
 
@@ -226,16 +225,19 @@ class TestSweepLedger:
 
         monkeypatch.setattr(IndexSelection, "__post_init__", counted)
         cfg = RunConfig(power=2, pool_bound=4, ledger_path=str(tmp_path / "spy.jsonl"))
-        fresh = run_sweep(cfg)
-        assert fresh and checked == [r.selection for r in fresh]
+        candidates = list(enumerate_selections(2, 4))
         checked.clear()
-        assert run_sweep(cfg) == [] and checked == []
+        fresh = run_sweep(cfg)
+        assert [r.selection for r in fresh] == checked == candidates
+        checked.clear()
+        assert run_sweep(cfg) == [] and checked == candidates
         lines = (tmp_path / "spy.jsonl").read_bytes().splitlines(keepends=True)
         (tmp_path / "spy.jsonl").write_bytes(b"".join(lines[:-3]))
+        checked.clear()
         resumed = run_sweep(cfg)
-        assert [r.selection for r in resumed] == [r.selection for r in fresh][-3:]
-        assert checked == []
-        assert [r["key"] for r in read_ledger(cfg.ledger_path)] == [r.key() for r in fresh]
+        assert [r.selection for r in resumed] == candidates[-3:]
+        assert checked == candidates
+        assert [r["key"] for r in read_ledger(cfg.ledger_path)] == [s.key() for s in candidates]
 
     def test_ledger_path_from_env(self, tmp_path, monkeypatch):
         target = tmp_path / "env_ledger.jsonl"
