@@ -6,7 +6,10 @@ The number rule: a value is an ``int`` until a division makes it a
 has ``.numerator`` and ``.denominator`` too), so nothing coerces a value that
 is already exact, and nothing in this package ever rounds.  A division of two
 ``int``s is written ``Fraction(a, b)``, never ``a / b``, which would give a
-``float``.
+``float``.  ``require_exact`` states the rule for every module, with a
+``TypeError`` that names the function and the value, and
+``clear_denominators`` turns a sequence of exact values into ``int``s by the
+lcm of their denominators; no other module reads a ``.denominator``.
 
 The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
 and at least its bound.  ``require_int`` states it for every module, with a
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 __all__ = [
     "PiPair",
@@ -46,12 +50,34 @@ def require_int(owner: str, name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{owner}: {name} must be >= {least}")
 
 
+_EXACT, _INT = frozenset((int, Fraction)), frozenset((int,))
+
+
+def require_exact(owner: str, name: str, *rows) -> None:
+    """The number rule, for ``name`` of ``owner``: each value of each row is
+    an ``int`` or a ``Fraction`` (not a ``bool``, not a ``float``), in one
+    type scan.  A single value is checked as a row of one."""
+    if not _EXACT.issuperset(map(type, chain(*rows))):
+        bad = next(type(v) for v in chain(*rows) if type(v) not in _EXACT)
+        raise TypeError(f"{owner}: {name} must be int or Fraction, got {bad.__name__}")
+
+
+def clear_denominators(owner: str, name: str, values):
+    """``values`` times the lcm of their denominators, as a list of ``int``s,
+    and that lcm.  An all-``int`` sequence is returned as it is, with 1, after
+    one type scan; any other is checked by ``require_exact`` first."""
+    if _INT.issuperset(map(type, values)):
+        return values, 1
+    require_exact(owner, name, values)
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def rational_str(q: int | Fraction) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1.
 
     Every output goes through here, so anything inexact is a ``TypeError``."""
-    if type(q) not in (int, Fraction):  # a bool or a float too
-        raise TypeError(f"rational_str: expected int or Fraction, got {type(q).__name__}")
+    require_exact("rational_str", "q", (q,))
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -143,8 +169,7 @@ def laguerre_ld_coefficient(j: int, n: int, k: int | Fraction) -> Fraction:
     require_int("laguerre_ld_coefficient", "n", n, 0)
     if j > n:
         raise ValueError(f"laguerre_ld_coefficient: need j <= n, got j = {j}, n = {n}")
-    if type(k) not in (int, Fraction):
-        raise TypeError(f"laguerre_ld_coefficient: k must be int or Fraction, got {type(k).__name__}")
+    require_exact("laguerre_ld_coefficient", "k", (k,))
     total = 0
     for i in range(j + 1):
         sign = -1 if (i + j) % 2 else 1

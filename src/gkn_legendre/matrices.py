@@ -21,16 +21,15 @@ The determinant eliminates the whole matrix in one pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from operator import ge
 
 from .brackets import bracket
 from .classical import ClassicalFunction
-from .exactnum import rational_str, require_int
+from .exactnum import clear_denominators, rational_str, require_exact, require_int
 
 __all__ = [
     "IndexSelection",
@@ -142,27 +141,6 @@ def c_block(sel: IndexSelection) -> list[list[int | Fraction]]:
     return [[bracket(a, b, sel.power) for b in qs] for a in qs]
 
 
-def _check_entries(matrix) -> None:
-    """Every entry is an ``int`` or a ``Fraction``; the first that is not (a
-    ``bool`` or a ``float`` too) is named in a ``TypeError``."""
-    if not set(map(type, chain(*matrix))) <= {int, Fraction}:
-        bad = next(x for x in chain(*matrix) if type(x) not in (int, Fraction))
-        raise TypeError(f"entries must be int or Fraction, got {type(bad).__name__}")
-
-
-def _integer_rows(matrix) -> tuple[list[list[int]], int]:
-    """Each row scaled to plain ``int``s by the lcm of its denominators, and
-    the product of those scales, which divides the determinant back out; a
-    row whose denominators are all 1 only has its numerators read."""
-    m, scale = [], 1
-    for row in matrix:
-        mult = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (mult // x.denominator) for x in row] if mult > 1
-                 else [x.numerator for x in row])
-        scale *= mult
-    return m, scale
-
-
 def _bareiss(m: list[list[int]], p: int = 0) -> tuple[int, int] | int:
     """(rank, det) of an integer matrix by one pass of fraction-free
     elimination, which leaves ``m`` as it is; with a modulus ``p``, only the
@@ -217,22 +195,16 @@ def _rank_piece(piece: list[list[int]]) -> int:
     return full if _bareiss(piece, P) == full else _bareiss(piece)[0]
 
 
-def _integer_piece(piece: list[list]) -> list[list[int]]:
-    """A piece as plain ``int`` rows: its denominators cleared unless every
-    entry is already an ``int``."""
-    return _integer_rows(piece)[0] if Fraction in set(map(type, chain(*piece))) else piece
-
-
-def _skew_piece(matrix, tight, rows, cols) -> list[list] | None:
-    """X = M[tight, cols] if M[i][j] == -M[j][i] for every j in ``tight`` and
-    i in ``rows``, else None."""
+def _skew_piece(matrix, tight, rows, cols) -> list[list[int]] | None:
+    """X = M[tight, cols], each row cleared to ``int``s, if M[i][j] ==
+    -M[j][i] for every j in ``tight`` and i in ``rows``, else None."""
     piece = []
     for j in tight:
         row = matrix[j]
         for i in rows:
             if matrix[i][j] != -row[i]:
                 return None
-        piece.append([row[c] for c in cols])
+        piece.append(clear_denominators("rank_exact", "entries", [row[c] for c in cols])[0])
     return piece
 
 
@@ -253,17 +225,17 @@ def rank_exact(matrix) -> int:
     proper R with |R| >= |S| that passes is taken, and the rule repeats on
     M[T, T]; what is left when none passes, or a matrix that is not square,
     is one piece.  A skew matrix passes the value check at every split.
-    Each piece is extracted once, its denominators cleared unless all
-    ``int``, and ranked by ``_rank_piece``: mod ``P`` first, which is sound
-    in one direction only (a rank mod ``P`` of min(rows, cols) is the rank, a
-    lower one proves nothing), then exactly where that falls short.
+    Each piece is extracted once, each row cleared of its denominators, and
+    ranked by ``_rank_piece``: mod ``P`` first, which is sound in one
+    direction only (a rank mod ``P`` of min(rows, cols) is the rank, a lower
+    one proves nothing), then exactly where that falls short.
     """
     if len(set(map(len, matrix))) > 1:
         raise ValueError("rank_exact: rows differ in length")
-    _check_entries(matrix)
+    require_exact("rank_exact", "entries", *matrix)
     n = len(matrix)
     if matrix and len(matrix[0]) != n:
-        return _rank_piece(_integer_piece(matrix))
+        return _rank_piece([clear_denominators("rank_exact", "entries", row)[0] for row in matrix])
     rows = range(n)
     bits = [1 << i for i in rows]
     masks = [sum(compress(bits, row)) for row in matrix]
@@ -285,11 +257,12 @@ def rank_exact(matrix) -> int:
                     cols.append(low.bit_length() - 1)
                     rest ^= low
                 x = _skew_piece(matrix, tight, rows, cols)
-                if x is not None and (not k or _rank_piece(_integer_piece(x)) == k):
+                if x is not None and (not k or _rank_piece(x) == k):
                     break
         else:
-            return rank + _rank_piece(_integer_piece(
-                [[row[j] for j in rows] for row in map(matrix.__getitem__, rows)]))
+            return rank + _rank_piece([
+                clear_denominators("rank_exact", "entries", [row[j] for j in rows])[0]
+                for row in map(matrix.__getitem__, rows)])
         rank += 2 * k
         live &= ~(s | sum(map(bits.__getitem__, tight)))
         rows = [i for i in rows if live >> i & 1]
@@ -298,14 +271,16 @@ def rank_exact(matrix) -> int:
 
 def det_exact(matrix) -> int | Fraction:
     """Exact determinant of a square rational matrix: an ``int`` when it is
-    integral, a ``Fraction`` otherwise.  A matrix of plain ``int``s goes to
-    ``_bareiss`` as it is, which leaves its input unchanged."""
+    integral, a ``Fraction`` otherwise.  Each row is cleared of its
+    denominators, and the product of their lcms divides the determinant of
+    the ``int`` rows back out."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
-    if {int}.issuperset(map(type, chain(*matrix))):
-        return _bareiss(matrix)[1]
-    _check_entries(matrix)
-    m, scale = _integer_rows(matrix)
+    m, scale = [], 1
+    for row in matrix:
+        ints, lcm = clear_denominators("det_exact", "entries", row)
+        m.append(ints)
+        scale *= lcm
     det = _bareiss(m)[1]
     return det // scale if det % scale == 0 else Fraction(det, scale)
 

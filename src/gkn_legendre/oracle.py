@@ -46,12 +46,9 @@ boundary form multiplies each chain pair straight into plain ``int``
 coefficient lists (``_multiply_into``, the one product loop, which
 ``LogRat * LogRat`` uses too), grouped by the product's denominator; each
 group is lifted once to the common denominator and the sum becomes one
-``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative`` takes
-three steps: a polynomial (no pole, N1 = N2 = 0) is ``Poly.derivative`` of
-N0 over the same den; anything else gets one formula, coefficient i of the
-new N_m = sum c_i x**i being (i+1) c_(i+1) + (a-b) c_i + (a+b+1-i) c_(i-1)
-plus (m+1) times coefficient i of N_(m+1); and where the pole rule says a
-factor cancels, all three numerators are divided by it once.
+``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative``
+builds its numerators in one pass of ``int`` coefficients, by the formula
+stated at the method.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from math import gcd, lcm
 from operator import add
 
 from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
-from .exactnum import legendre_stirling, require_int
+from .exactnum import clear_denominators, legendre_stirling, require_int
 
 __all__ = [
     "LogRat",
@@ -132,18 +129,13 @@ class LogRat:
         if not (type(a) is type(b) is type(den) is int and a >= 0 and b >= 0 and den >= 1):
             for name, value, least in (("pow_one_minus", a, 0), ("pow_one_plus", b, 0), ("den", den, 1)):
                 require_int("LogRat", name, value, least)
-        # clear Fraction coefficients into den, once
-        fractional, scale = False, 1
-        for p in nums:
-            for c in p.coeffs:
-                if type(c) is not int:
-                    if type(c) is not Fraction:  # a bool or a float too
-                        kind = type(c).__name__
-                        raise TypeError(f"LogRat: coefficients must be int or Fraction, got {kind}")
-                    fractional, scale = True, lcm(scale, c.denominator)
-        if fractional:
-            nums = tuple(Poly([c.numerator * (scale // c.denominator) for c in p.coeffs]) for p in nums)
-            den *= scale
+        # clear Fraction coefficients into den, with one scale for N0, N1 and N2
+        n0, n1, n2 = (p.coeffs for p in nums)
+        flat = [*n0, *n1, *n2]
+        coeffs, scale = clear_denominators("LogRat", "coefficients", flat)
+        if coeffs is not flat:
+            i, j = len(n0), len(n0) + len(n1)
+            nums, den = (Poly(coeffs[:i]), Poly(coeffs[i:j]), Poly(coeffs[j:])), den * scale
         # divide out the content shared with den; zero has none, so it ends over 1
         nums, den = _without_content(nums, den)
         if not any(nums):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from argparse import Namespace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from gkn_legendre.classical import (
 )
 from gkn_legendre.exactnum import (
     PiPair,
+    clear_denominators,
     eigenvalue,
     harmonic,
     harmonic2,
@@ -26,7 +28,7 @@ from gkn_legendre.exactnum import (
     legendre_stirling,
     rational_str,
 )
-from gkn_legendre.matrices import IndexSelection, canonical_selection
+from gkn_legendre.matrices import IndexSelection, canonical_selection, det_exact, rank_exact
 from gkn_legendre.oracle import LogRat, apply_ell_n, lagrangian_coefficients
 from gkn_legendre.sweep import RunConfig
 
@@ -208,7 +210,7 @@ class TestSerialization:
             rational_str(0.5)
 
     def test_bool_is_a_type_error(self):
-        with pytest.raises(TypeError, match="^rational_str: expected int or Fraction, got bool$"):
+        with pytest.raises(TypeError, match="^rational_str: q must be int or Fraction, got bool$"):
             rational_str(True)
 
     def test_pipair(self):
@@ -265,3 +267,56 @@ def test_one_integer_argument_rule(owner, name, least, call, valid, expected):
             call(bad)
     with pytest.raises(ValueError, match=f"^{owner}: {name} must be >= {least}$"):
         call(least - 1)
+
+
+# (owner, value name, call): every entry point under the number rule, each
+# ``call`` taking the value under test
+NUMBER_TABLE = [
+    ("rational_str", "q", rational_str),
+    ("laguerre_ld_coefficient", "k", lambda v: laguerre_ld_coefficient(1, 2, v)),
+    ("LogRat", "coefficients", lambda v: LogRat((Poly.ONE, Poly([Fraction(1, 2), v])))),
+    ("rank_exact", "entries", lambda v: rank_exact([[1, Fraction(1, 2)], [2, v]])),
+    ("det_exact", "entries", lambda v: det_exact([[1, Fraction(1, 2)], [2, v]])),
+]
+
+
+@pytest.mark.parametrize("owner, name, call", NUMBER_TABLE, ids=[row[0] for row in NUMBER_TABLE])
+def test_one_number_rule(owner, name, call):
+    """Every exact value is an int or a Fraction, not a bool or a float: the
+    same TypeError wherever it is an input."""
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError, match=f"^{owner}: {name} must be int or Fraction, got {type(bad).__name__}$"):
+            call(bad)
+
+
+class TestClearDenominators:
+    def test_all_int_sequence_is_passed_through(self):
+        for values in ([3, -4, 0], (5,), []):
+            cleared, scale = clear_denominators("owner", "values", values)
+            assert cleared is values and scale == 1
+
+    def test_values_times_the_lcm_of_their_denominators(self):
+        values = (Fraction(1, 2), -3, Fraction(5, 6), Fraction(4))
+        assert clear_denominators("owner", "values", values) == ([3, -18, 5, 24], 6)
+        cleared, scale = clear_denominators("owner", "values", [Fraction(4), Fraction(-2)])
+        assert (cleared, scale) == ([4, -2], 1) and {type(c) for c in cleared} == {int}
+
+    def test_inexact_value_is_named(self):
+        with pytest.raises(TypeError, match="^owner: values must be int or Fraction, got float$"):
+            clear_denominators("owner", "values", [Fraction(1, 2), 1.5])
+
+
+# (call, message): each check on an argument's value beyond the argument rule
+DOMAIN_TABLE = [
+    (lambda: ClassicalFunction("R", 1), "kind must be 'P' or 'Q', got 'R'"),
+    (lambda: LogRat((Poly.ONE,) * 4), "LogRat: degree in L(x) exceeds 2"),
+    (lambda: LogRat((Poly.ONE,)).order_at("zero"), "at must be 'plus_one' or 'minus_one'"),
+    (lambda: laguerre_ld_coefficient(3, 2, 1), "laguerre_ld_coefficient: need j <= n, got j = 3, n = 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", DOMAIN_TABLE,
+                         ids=["ClassicalFunction-kind", "LogRat-nums", "order_at-at", "laguerre_ld_coefficient-j"])
+def test_value_outside_its_domain_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -4,7 +4,8 @@
 the modules built on it; ``verify`` reaches selections through ``matrices``
 and depends on neither ``sweep`` nor the CLI.  The ``oracle`` stays
 independent of the closed form: it imports none of ``brackets``,
-``matrices``, ``sweep``, ``verify`` or the CLI.  The memo rule is read
+``matrices``, ``sweep``, ``verify`` or the CLI.  The argument rule and the
+number rule are each raised in ``exactnum`` alone, and the memo rule is read
 the same way: the only module-level containers a function grows are the
 recurrence tables.
 """
@@ -19,11 +20,14 @@ import gkn_legendre
 PACKAGE = Path(gkn_legendre.__file__).parent
 
 
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def package_imports(module: str) -> set[str]:
     """The sibling modules ``module`` imports, relatively or by full name."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     names = []
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -47,22 +51,37 @@ def test_module_does_not_import(module, forbidden):
     assert not package_imports(module) & forbidden
 
 
-def int_rule_raises(module: str) -> int:
-    """How many ``raise TypeError(...)`` in ``module`` have a message saying "must be an int"."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+def type_errors_saying(module: str, phrase: str) -> int:
+    """How many ``raise TypeError(...)`` in ``module`` have a message containing ``phrase``."""
     return sum(
         isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
         and getattr(node.exc.func, "id", None) == "TypeError"
-        and any(isinstance(part, ast.Constant) and "must be an int" in str(part.value) for part in ast.walk(node.exc))
-        for node in ast.walk(tree)
+        and any(isinstance(part, ast.Constant) and phrase in str(part.value) for part in ast.walk(node.exc))
+        for node in ast.walk(parse(module))
     )
+
+
+OTHERS = sorted({path.stem for path in PACKAGE.glob("*.py")} - {"exactnum"})
 
 
 def test_argument_rule_is_stated_once():
     """Only ``exactnum.require_int`` raises the argument rule's TypeError."""
-    assert int_rule_raises("exactnum") == 1
-    others = {path.stem for path in PACKAGE.glob("*.py")} - {"exactnum"}
-    assert {module: int_rule_raises(module) for module in others} == dict.fromkeys(others, 0)
+    assert type_errors_saying("exactnum", "must be an int") == 1
+    assert {module: type_errors_saying(module, "must be an int") for module in OTHERS} == dict.fromkeys(OTHERS, 0)
+
+
+def denominator_reads(module: str) -> int:
+    return sum(isinstance(node, ast.Attribute) and node.attr == "denominator" for node in ast.walk(parse(module)))
+
+
+def test_number_rule_is_stated_once():
+    """Only ``exactnum`` raises the number rule's TypeError (in
+    ``require_exact``) and reads a ``.denominator``: every other module
+    checks and clears exact values through it."""
+    assert type_errors_saying("exactnum", "must be int or Fraction") == 1
+    assert denominator_reads("exactnum") > 0
+    assert {module: (type_errors_saying(module, "must be int or Fraction"), denominator_reads(module))
+            for module in OTHERS} == dict.fromkeys(OTHERS, (0, 0))
 
 
 GROWERS = {"append", "extend", "insert", "setdefault", "update", "add"}
@@ -78,7 +97,7 @@ def grown_globals(module: str) -> set[str]:
     ``module`` grows: by a growing method, by a store to a subscript, or as
     the argument of one of the module's own functions (as in
     ``_extend(_p_table, k)``)."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = parse(module)
     bound, helpers, grown = set(), set(), set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):

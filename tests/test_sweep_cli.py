@@ -29,6 +29,10 @@ from gkn_legendre.sweep import (
 from gkn_legendre.verify import CheckResult
 
 
+def no_matrix(sel):
+    raise RuntimeError("no matrix")
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n, pool", [(1, 0), (2, 3), (3, 5), (4, 7)])
     def test_counts_n2_pool3(self, n, pool):
@@ -315,6 +319,24 @@ class TestTornLedger:
         assert self.sweep(ledger, 4) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_blank_lines_are_skipped_and_trailing_ones_cut(self, tmp_path, capsys):
+        """Blank lines between records are read past; those after the last
+        record are cut before a resumed sweep appends the missing records."""
+        full = tmp_path / "full.jsonl"
+        assert self.sweep(full, 3) == 0
+        capsys.readouterr()
+        lines = full.read_bytes().splitlines(keepends=True)
+        ledger = tmp_path / "s.jsonl"
+        kept = lines[0] + b"\n" + lines[1]
+        ledger.write_bytes(kept + b"\n \n\n")
+        assert read_ledger(str(ledger)) == [json.loads(line) for line in lines[:2]]
+        assert self.sweep(ledger, 3) == 0
+        assert capsys.readouterr().out == f"{len(lines) - 2} new records appended to {ledger}\n"
+        new = ledger.read_bytes()
+        assert new.startswith(kept) and b"\n\n" not in new[len(kept) - 1:]
+        keys = [json.loads(line)["key"] for line in new[len(kept):].splitlines()]
+        assert keys == [json.loads(line)["key"] for line in lines[2:]]
+
     @pytest.mark.parametrize("line", [b"[1, 2]", b'"x"', b'{"x": 1}', b"{"],
                              ids=["list", "string", "no-key", "malformed"])
     def test_line_that_is_not_a_record_is_an_error(self, line, tmp_path, capsys):
@@ -440,6 +462,35 @@ class TestCliVerify:
 
     def test_unknown_suite_rejected_by_argparse(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+        with pytest.raises(KeyError, match="unknown suite 'nope'; choose from"):
+            verify_module.run_suite("nope")
+
+    @pytest.mark.parametrize("suite, flags, name, stand_in, detail", [
+        ("paper-tables", {}, "build_matrix", no_matrix, "exception: RuntimeError('no matrix')"),
+        ("parity", {"n": 2, "pool": 3}, "is_li_mod_dmin", lambda sel: True,
+         "unbalanced selection n=2;P=0,1;Q=0,2 has full rank"),
+        ("n2-exhaustive", {"pool": 3}, "is_li_mod_dmin", lambda sel: False,
+         "rank-deficient balanced selection n=2;P=0,1;Q=0,1"),
+        ("oracle", {"max_index": 1, "max_n": 1}, "bracket_via_oracle", lambda f, g, n: 1,
+         "[P0,P0]_1: closed 0 != oracle 1"),
+    ], ids=["paper-tables", "parity", "n2-exhaustive", "oracle"])
+    def test_failing_check_is_reported(self, suite, flags, name, stand_in, detail, tmp_path, capsys, monkeypatch):
+        """A suite whose check finds a counterexample, or raises, reports FAIL
+        with the case in its detail; the CLI exits 1 and dumps every result."""
+        monkeypatch.setattr(verify_module, name, stand_in)
+        results = verify_module.run_suite(suite, **flags)
+        failed = [r for r in results if not r.ok]
+        assert failed and {r.detail for r in failed} == {detail}
+        dump = tmp_path / "failures.json"
+        argv = [f"--{flag.replace('_', '-')}={value}" for flag, value in flags.items()]
+        assert main(["verify", "--suite", suite, *argv, "--failure-dump", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert [line.split("  ")[:2] for line in captured.out.splitlines()] == [
+            ["PASS" if r.ok else "FAIL", r.name] for r in results]
+        assert all(f"  {detail}" in line for line in captured.out.splitlines() if line.startswith("FAIL"))
+        assert f"failure report written to {dump}" in captured.err
+        doc = json.loads(dump.read_text(encoding="utf-8"))
+        assert [(r["name"], r["ok"], r["detail"]) for r in doc] == [(r.name, r.ok, r.detail) for r in results]
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "canonical", "--max-n", "0"],
@@ -677,6 +728,18 @@ class TestCliSmallVerbs:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bracket", "P", "0", "Q", "1", "--n", "3", "--check-oracle", "maybe"],
+         "argument --check-oracle: expected a boolean, got 'maybe'"),
+        (["matrix", "--p", "1,x", "--q", "0", "--n", "1"],
+         "argument --p: expected comma-separated integers, got '1,x'"),
+    ], ids=["check-oracle", "matrix-p"])
+    def test_unparsable_flag_is_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 def run_fresh(code: str, cwd) -> None:
