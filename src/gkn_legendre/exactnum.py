@@ -8,8 +8,9 @@ is already exact, and nothing in this package ever rounds.  A division of two
 ``int``s is written ``Fraction(a, b)``, never ``a / b``, which would give a
 ``float``.  ``require_exact`` states the rule for every module, with a
 ``TypeError`` that names the function and the value, and
-``clear_denominators`` turns a sequence of exact values into ``int``s by the
-lcm of their denominators; no other module reads a ``.denominator``.
+``clear_denominators`` turns the rows of a piece into ``int``s, in one call,
+each row by the lcm of its denominators; no other module reads a
+``.denominator``.
 
 The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
 and at least its bound.  ``require_int`` states it for every module, with a
@@ -62,15 +63,20 @@ def require_exact(owner: str, name: str, *rows) -> None:
         raise TypeError(f"{owner}: {name} must be int or Fraction, got {bad.__name__}")
 
 
-def clear_denominators(owner: str, name: str, values):
-    """``values`` times the lcm of their denominators, as a list of ``int``s,
-    and that lcm.  An all-``int`` sequence is returned as it is, with 1, after
-    one type scan; any other is checked by ``require_exact`` first."""
-    if _INT.issuperset(map(type, values)):
-        return values, 1
-    require_exact(owner, name, values)
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+def clear_denominators(owner: str, name: str, rows):
+    """The rows of a piece, each times the lcm of its denominators, as lists
+    of ``int``s, and the product of those lcms.  All-``int`` rows are
+    returned as they are, with 1, after one type scan of the whole piece;
+    any other piece is checked by ``require_exact`` first."""
+    if _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return rows, 1
+    require_exact(owner, name, *rows)
+    cleared, scale = [], 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
+    return cleared, scale
 
 
 def rational_str(q: int | Fraction) -> str:

@@ -110,12 +110,11 @@ class BracketMatrix:
         }
 
     def to_csv(self) -> str:
-        lines = [",".join(rational_str(e) for e in row) for row in self.entries]
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(rational_str(e) for e in row) + "\n" for row in self.entries)
 
     def pretty(self) -> str:
         cells = [[rational_str(e) for e in row] for row in self.entries]
-        widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
+        widths = [max(map(len, column)) for column in zip(*cells)]
         return "\n".join(
             "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells
         )
@@ -196,16 +195,16 @@ def _rank_piece(piece: list[list[int]]) -> int:
 
 
 def _skew_piece(matrix, tight, rows, cols) -> list[list[int]] | None:
-    """X = M[tight, cols], each row cleared to ``int``s, if M[i][j] ==
-    -M[j][i] for every j in ``tight`` and i in ``rows``, else None."""
+    """X = M[tight, cols], cleared to ``int``s, if M[i][j] == -M[j][i] for
+    every j in ``tight`` and i in ``rows``, else None."""
     piece = []
     for j in tight:
         row = matrix[j]
         for i in rows:
             if matrix[i][j] != -row[i]:
                 return None
-        piece.append(clear_denominators("rank_exact", "entries", [row[c] for c in cols])[0])
-    return piece
+        piece.append([row[c] for c in cols])
+    return clear_denominators("rank_exact", "entries", piece)[0]
 
 
 def rank_exact(matrix) -> int:
@@ -225,8 +224,8 @@ def rank_exact(matrix) -> int:
     proper R with |R| >= |S| that passes is taken, and the rule repeats on
     M[T, T]; what is left when none passes, or a matrix that is not square,
     is one piece.  A skew matrix passes the value check at every split.
-    Each piece is extracted once, each row cleared of its denominators, and
-    ranked by ``_rank_piece``: mod ``P`` first, which is sound in one
+    Each piece is extracted once, cleared of its denominators in one call,
+    and ranked by ``_rank_piece``: mod ``P`` first, which is sound in one
     direction only (a rank mod ``P`` of min(rows, cols) is the rank, a lower
     one proves nothing), then exactly where that falls short.
     """
@@ -235,7 +234,7 @@ def rank_exact(matrix) -> int:
     require_exact("rank_exact", "entries", *matrix)
     n = len(matrix)
     if matrix and len(matrix[0]) != n:
-        return _rank_piece([clear_denominators("rank_exact", "entries", row)[0] for row in matrix])
+        return _rank_piece(clear_denominators("rank_exact", "entries", matrix)[0])
     rows = range(n)
     bits = [1 << i for i in rows]
     masks = [sum(compress(bits, row)) for row in matrix]
@@ -260,9 +259,8 @@ def rank_exact(matrix) -> int:
                 if x is not None and (not k or _rank_piece(x) == k):
                     break
         else:
-            return rank + _rank_piece([
-                clear_denominators("rank_exact", "entries", [row[j] for j in rows])[0]
-                for row in map(matrix.__getitem__, rows)])
+            piece = [[row[j] for j in rows] for row in map(matrix.__getitem__, rows)]
+            return rank + _rank_piece(clear_denominators("rank_exact", "entries", piece)[0])
         rank += 2 * k
         live &= ~(s | sum(map(bits.__getitem__, tight)))
         rows = [i for i in rows if live >> i & 1]
@@ -276,11 +274,7 @@ def det_exact(matrix) -> int | Fraction:
     the ``int`` rows back out."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("det_exact: matrix must be square")
-    m, scale = [], 1
-    for row in matrix:
-        ints, lcm = clear_denominators("det_exact", "entries", row)
-        m.append(ints)
-        scale *= lcm
+    m, scale = clear_denominators("det_exact", "entries", matrix)
     det = _bareiss(m)[1]
     return det // scale if det % scale == 0 else Fraction(det, scale)
 

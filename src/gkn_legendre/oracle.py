@@ -132,7 +132,7 @@ class LogRat:
         # clear Fraction coefficients into den, with one scale for N0, N1 and N2
         n0, n1, n2 = (p.coeffs for p in nums)
         flat = [*n0, *n1, *n2]
-        coeffs, scale = clear_denominators("LogRat", "coefficients", flat)
+        (coeffs,), scale = clear_denominators("LogRat", "coefficients", (flat,))
         if coeffs is not flat:
             i, j = len(n0), len(n0) + len(n1)
             nums, den = (Poly(coeffs[:i]), Poly(coeffs[i:j]), Poly(coeffs[j:])), den * scale
@@ -338,7 +338,7 @@ def apply_ell_n(f: LogRat, n: int) -> LogRat:
 def lagrangian_coefficients(n: int) -> tuple[tuple[int, Poly], ...]:
     """Coefficients a_k = LS(n,k) * (1-x**2)**k, k = 1..n, built once per n."""
     require_int("lagrangian_coefficients", "n", n, 1)
-    return tuple((k, legendre_stirling(n, k) * _ONE_MINUS_X2**k) for k in range(1, n + 1))
+    return tuple((k, _lift(n, k, k, k)) for k in range(1, n + 1))
 
 
 @cache
@@ -360,14 +360,15 @@ def _times_coefficient(f: LogRat, n: int, k: int) -> LogRat:
 
 def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRat]]]:
     """[f, ..., f^(n)] and, for k = 1..n, the chain [(a_k f^(k))^(i) for i < k];
-    exactly n(n+1)/2 calls to ``derivative``."""
+    exactly n(n+1)/2 calls to ``derivative``.  The caller checks ``n``."""
     derivs = _derivatives(f, n)
-    chains = [_derivatives(_times_coefficient(derivs[k], n, k), k - 1) for k, _ in lagrangian_coefficients(n)]
+    chains = [_derivatives(_times_coefficient(derivs[k], n, k), k - 1) for k in range(1, n + 1)]
     return derivs, chains
 
 
 def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     """The 2n-th order expansion sum_k (-1)**k (a_k f^(k))^(k)."""
+    require_int("apply_ell_n_lagrangian", "n", n, 1)
     total = LogRat()
     for k, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
         term = chain[-1].derivative()
@@ -383,6 +384,7 @@ def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:
     with a_k the Lagrangian coefficients.  Coefficients are real, so
     conjugation is the identity.
     """
+    require_int("sesquilinear_at", "n", n, 1)
     fder, fchains = _lagrangian_chains(f, n)
     gder, gchains = _lagrangian_chains(g, n)
     # the products' numerators, summed per product denominator (a, b, den)
@@ -417,6 +419,7 @@ def endpoint_limit(f: LogRat, at: str) -> Fraction:
 
 def bracket_via_oracle(f: ClassicalFunction, g: ClassicalFunction, n: int) -> Fraction:
     """[f,g]_n from -1 to 1 by symbolic endpoint limits of the boundary form."""
+    require_int("bracket_via_oracle", "n", n, 1)
     form = sesquilinear_at(classical_to_lograt(f), classical_to_lograt(g), n)
     return endpoint_limit(form, "plus_one") - endpoint_limit(form, "minus_one")
 
@@ -436,6 +439,7 @@ def fn_condition_check(f: LogRat, n: int) -> list[FnConditionReport]:
 
     One report per j = 1..n; divergence is reported, never raised.
     """
+    require_int("fn_condition_check", "n", n, 1)
     reports = []
     for j, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
         limits = []

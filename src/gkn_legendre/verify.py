@@ -105,36 +105,19 @@ def _passed_if_any(checked: int, detail: str) -> tuple[bool, str]:
 
 def suite_paper_tables() -> list[CheckResult]:
     """Reproduce the four printed matrices bit for bit, plus the rank claims."""
-    results = []
-
-    def m3():
-        got = build_matrix(canonical_selection(3)).entries
-        return [list(r) for r in got] == M3_EXPECTED, "6x6 n=3 matrix"
-
-    def b4():
-        return b_block(canonical_selection(4)) == B4_EXPECTED, "B block, n=4"
-
-    def b5():
-        return b_block(canonical_selection(5)) == B5_EXPECTED, "B block, n=5"
-
-    def b4_large():
-        got = b_block(B4_LARGE_SELECTION)
-        return got == B4_LARGE_EXPECTED, "B block, n=4, large indices"
-
-    def ranks():
-        ok = (
+    checks = [
+        ("M3", lambda: ([list(r) for r in build_matrix(canonical_selection(3)).entries] == M3_EXPECTED,
+                        "6x6 n=3 matrix")),
+        ("B4", lambda: (b_block(canonical_selection(4)) == B4_EXPECTED, "B block, n=4")),
+        ("B5", lambda: (b_block(canonical_selection(5)) == B5_EXPECTED, "B block, n=5")),
+        ("B4-large", lambda: (b_block(B4_LARGE_SELECTION) == B4_LARGE_EXPECTED, "B block, n=4, large indices")),
+        ("ranks", lambda: (
             rank_exact(b_block(canonical_selection(4))) == 4
             and rank_exact(b_block(canonical_selection(5))) == 5
-            and rank_exact(build_matrix(canonical_selection(3)).entries) == 6
-        )
-        return ok, "rank(B4)=4, rank(B5)=5, rank(M3)=6"
-
-    results.append(_check("paper-tables/M3", m3))
-    results.append(_check("paper-tables/B4", b4))
-    results.append(_check("paper-tables/B5", b5))
-    results.append(_check("paper-tables/B4-large", b4_large))
-    results.append(_check("paper-tables/ranks", ranks))
-    return results
+            and rank_exact(build_matrix(canonical_selection(3)).entries) == 6,
+            "rank(B4)=4, rank(B5)=5, rank(M3)=6")),
+    ]
+    return [_check(f"paper-tables/{name}", check) for name, check in checks]
 
 
 def entry_digits(matrix) -> int:
@@ -161,39 +144,50 @@ def suite_canonical(max_n: int = 32) -> list[CheckResult]:
     return results
 
 
-def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
-    """Necessity: every parity-unbalanced selection in the pool is rank deficient."""
+def _first_counterexample(name: str, cases, counterexample, summary: str) -> list[CheckResult]:
+    """One check of a claim over every case ``cases()`` yields: it fails
+    with the detail ``counterexample(case)`` returns for the first case that
+    breaks the claim (a falsy one for a case that holds), and passes with
+    ``summary`` filled in with the count of cases otherwise."""
 
     def run():
         checked = 0
-        for sel in enumerate_selections(n, pool, parity_filter=False):
-            if parity_census(sel) == (n, n):
-                continue
+        for case in cases():
             checked += 1
-            if is_li_mod_dmin(sel):
-                return False, f"unbalanced selection {sel.key()} has full rank"
-        return _passed_if_any(checked, f"{checked} unbalanced selections all rank deficient")
+            detail = counterexample(case)
+            if detail:
+                return False, detail
+        return _passed_if_any(checked, summary.format(checked))
 
-    return [_check(f"parity/n={n}/pool={pool}", run)]
+    return [_check(name, run)]
+
+
+def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
+    """Necessity: every parity-unbalanced selection in the pool is rank deficient."""
+    return _first_counterexample(
+        f"parity/n={n}/pool={pool}",
+        lambda: (s for s in enumerate_selections(n, pool, parity_filter=False) if parity_census(s) != (n, n)),
+        lambda sel: is_li_mod_dmin(sel) and f"unbalanced selection {sel.key()} has full rank",
+        "{} unbalanced selections all rank deficient",
+    )
 
 
 def suite_n2_exhaustive(pool: int = 50) -> list[CheckResult]:
     """n = 2: every distinct P pair up to the bound, with every complementary
     Q completion from {0..3}, gives a full-rank matrix."""
 
-    def run():
-        checked = 0
+    def balanced():
         for p in combinations(range(pool + 1), 2):
             for q in combinations(range(4), 2):
-                sel = IndexSelection(p, q, 2)
-                if parity_census(sel) != (2, 2):
-                    continue
-                checked += 1
-                if not is_li_mod_dmin(sel):
-                    return False, f"rank-deficient balanced selection {sel.key()}"
-        return _passed_if_any(checked, f"{checked} balanced n=2 selections all full rank")
+                if parity_census(sel := IndexSelection(p, q, 2)) == (2, 2):
+                    yield sel
 
-    return [_check(f"n2-exhaustive/p<={pool}", run)]
+    return _first_counterexample(
+        f"n2-exhaustive/p<={pool}",
+        balanced,
+        lambda sel: not is_li_mod_dmin(sel) and f"rank-deficient balanced selection {sel.key()}",
+        "{} balanced n=2 selections all full rank",
+    )
 
 
 def suite_oracle(max_index: int = 8, max_n: int = 4) -> list[CheckResult]:

@@ -39,6 +39,9 @@ class TestPoly:
     def test_json(self):
         assert Poly([Fraction(-1, 2), 0, Fraction(3, 2)]).to_json() == ["-1/2", "0", "3/2"]
 
+    def test_zero_prints_as_zero(self):
+        assert str(Poly()) == str(Poly([0, 0])) == "0"
+
     def test_json_refuses_a_float_coefficient(self):
         # Poly itself does not check (it is the oracle's hot path); its output does
         with pytest.raises(TypeError, match="float"):

@@ -29,7 +29,15 @@ from gkn_legendre.exactnum import (
     rational_str,
 )
 from gkn_legendre.matrices import IndexSelection, canonical_selection, det_exact, rank_exact
-from gkn_legendre.oracle import LogRat, apply_ell_n, lagrangian_coefficients
+from gkn_legendre.oracle import (
+    LogRat,
+    apply_ell_n,
+    apply_ell_n_lagrangian,
+    bracket_via_oracle,
+    fn_condition_check,
+    lagrangian_coefficients,
+    sesquilinear_at,
+)
 from gkn_legendre.sweep import RunConfig
 
 
@@ -250,6 +258,11 @@ RULE_TABLE = [
     ("canonical_selection", "n", 1, canonical_selection, 1, IndexSelection((0,), (1,), 1)),
     ("lagrangian_coefficients", "n", 1, lagrangian_coefficients, 1, ((1, Poly([1, 0, -1])),)),
     ("apply_ell_n", "n", 1, lambda v: apply_ell_n(LogRat((Poly.X,)), v), 1, LogRat((Poly([0, 2]),))),
+    ("apply_ell_n_lagrangian", "n", 1, lambda v: apply_ell_n_lagrangian(LogRat((Poly.X,)), v), 1,
+     LogRat((Poly([0, 2]),))),
+    ("sesquilinear_at", "n", 1, lambda v: sesquilinear_at(ONE, LogRat((Poly.X,)), v), 1, LogRat((Poly([1, 0, -1]),))),
+    ("bracket_via_oracle", "n", 1, lambda v: bracket_via_oracle(P0, Q1, v), 1, 2),
+    ("fn_condition_check", "n", 1, lambda v: len(fn_condition_check(LogRat((Poly.X,)), v)), 1, 1),
     ("RunConfig", "power", 1, lambda v: RunConfig(v, 3, ledger_path="unused").power, 2, 2),
     ("RunConfig", "workers", 1, lambda v: RunConfig(2, 3, workers=v, ledger_path="unused").workers, 2, 2),
     ("stirling", "n", 0, lambda v: cli.cmd_stirling(Namespace(n=v, format="json")), 1, cli.EXIT_OK),
@@ -291,19 +304,27 @@ def test_one_number_rule(owner, name, call):
 
 class TestClearDenominators:
     def test_all_int_sequence_is_passed_through(self):
-        for values in ([3, -4, 0], (5,), []):
+        for values in ([[3, -4, 0], (1, 2, 3)], ((5,),), [[]], []):
             cleared, scale = clear_denominators("owner", "values", values)
             assert cleared is values and scale == 1
 
     def test_values_times_the_lcm_of_their_denominators(self):
         values = (Fraction(1, 2), -3, Fraction(5, 6), Fraction(4))
-        assert clear_denominators("owner", "values", values) == ([3, -18, 5, 24], 6)
-        cleared, scale = clear_denominators("owner", "values", [Fraction(4), Fraction(-2)])
+        assert clear_denominators("owner", "values", (values,)) == ([[3, -18, 5, 24]], 6)
+        (cleared,), scale = clear_denominators("owner", "values", [[Fraction(4), Fraction(-2)]])
         assert (cleared, scale) == ([4, -2], 1) and {type(c) for c in cleared} == {int}
+
+    def test_each_row_by_its_own_lcm(self):
+        """Each row is cleared by its own lcm, every row of a piece with a
+        ``Fraction`` comes back as ``int``s, and the scale is the product."""
+        rows = ((Fraction(1, 2), 1), [Fraction(1, 3), Fraction(2, 3)], (4, 5), [Fraction(-3, 4), 0])
+        cleared, scale = clear_denominators("owner", "rows", rows)
+        assert cleared == [[1, 2], [1, 2], [4, 5], [-3, 0]] and scale == 2 * 3 * 1 * 4
+        assert {type(c) for row in cleared for c in row} == {int}
 
     def test_inexact_value_is_named(self):
         with pytest.raises(TypeError, match="^owner: values must be int or Fraction, got float$"):
-            clear_denominators("owner", "values", [Fraction(1, 2), 1.5])
+            clear_denominators("owner", "values", [[Fraction(1, 2), 1.5]])
 
 
 # (call, message): each check on an argument's value beyond the argument rule

@@ -60,6 +60,13 @@ class TestSelection:
     def test_key(self):
         assert canonical_selection(3).key() == "n=3;P=0,1,2;Q=1,2,3"
 
+    def test_lists_are_stored_as_tuples(self):
+        """Index lists are stored as tuples, so the selection equals, hashes
+        and keys as the one given tuples."""
+        given, tuples = IndexSelection([0, 2], [1], 2), IndexSelection((0, 2), (1,), 2)
+        assert type(given.p_indices) is type(given.q_indices) is tuple
+        assert given == tuples and hash(given) == hash(tuples) and given.key() == tuples.key()
+
     def test_labels_are_interned(self):
         """Labels are one shared ClassicalFunction per (kind, index), equal,
         hashed and printed as freshly built ones; a bool index still never
@@ -261,3 +268,8 @@ class TestSerializationFormats:
     def test_pretty_aligns(self):
         text = build_matrix(IndexSelection((0,), (1,), 1)).pretty()
         assert text.splitlines() == [" 0  2", "-2  0"]
+
+    def test_empty_matrix_renders_as_nothing(self):
+        m = build_matrix(IndexSelection((), (), 1))
+        assert m.size == 0 and m.pretty() == "" and m.to_csv() == ""
+        assert m.to_json() == {"power": 1, "labels": [], "entries": []}

@@ -519,6 +519,16 @@ class TestCliVerify:
         ]
         assert [list(entry) for entry in doc] == [["name", "ok", "detail", "elapsed"]] * 2
 
+    def test_unwritable_failure_dump_is_reported(self, tmp_path, capsys, monkeypatch):
+        """A failure report that cannot be written is said so; the exit is
+        still the failed claim's 1, not an I/O error."""
+        monkeypatch.setattr(cli_module, "run_suite", lambda suite, **kwargs: [CheckResult("b", False, "bad", 0.0)])
+        dump = tmp_path / "no-such-dir" / "failures.json"
+        assert main(["verify", "--suite", "paper-tables", "--failure-dump", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL  b  ") and not dump.exists()
+        assert captured.err.startswith("could not write failure report: ")
+
     @pytest.mark.parametrize("argv, message", [
         (["--suite", "canonical", "--max-n", "-1"], "--max-n must be >= 0"),
         (["--suite", "oracle", "--max-index", "-1"], "--max-index must be >= 0"),
@@ -722,6 +732,22 @@ class TestCliSmallVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument k: expected a rational" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["qfun", "2"],
+        ["stirling", "3", "--format", "json"],
+        ["matrix", "--canonical", "--n", "1", "--format", "csv"],
+    ], ids=lambda argv: argv[0])
+    def test_os_error_is_an_io_error(self, argv, capsys, monkeypatch):
+        """An OSError in a verb, here a closed output pipe, exits 3 with its text."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
