@@ -46,9 +46,9 @@ boundary form multiplies each chain pair straight into plain ``int``
 coefficient lists (``_multiply_into``, the one product loop, which
 ``LogRat * LogRat`` uses too), grouped by the product's denominator; each
 group is lifted once to the common denominator and the sum becomes one
-``LogRat`` (``_sum``, which ``+`` and ``-`` use too).  ``derivative``
-builds its numerators in one pass of ``int`` coefficients, by the formula
-stated at the method.
+``LogRat`` (``_sum``, which ``+``, ``-`` and the Lagrangian expansion use
+too).  ``derivative`` builds its numerators in one pass of ``int``
+coefficients, by the formula stated at the method.
 """
 
 from __future__ import annotations
@@ -369,11 +369,8 @@ def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRa
 def apply_ell_n_lagrangian(f: LogRat, n: int) -> LogRat:
     """The 2n-th order expansion sum_k (-1)**k (a_k f^(k))^(k)."""
     require_int("apply_ell_n_lagrangian", "n", n, 1)
-    total = LogRat()
-    for k, chain in enumerate(_lagrangian_chains(f, n)[1], 1):
-        term = chain[-1].derivative()
-        total = total + term if k % 2 == 0 else total - term
-    return total
+    chains = _lagrangian_chains(f, n)[1]
+    return _sum([chain[-1].derivative()._summand((-1) ** k) for k, chain in enumerate(chains, 1)])
 
 
 def sesquilinear_at(f: LogRat, g: LogRat, n: int) -> LogRat:

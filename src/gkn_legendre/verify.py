@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import attrgetter
 
 from .brackets import bracket
@@ -97,12 +97,6 @@ def _check(name: str, fn) -> CheckResult:
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
 
-def _passed_if_any(checked: int, detail: str) -> tuple[bool, str]:
-    """The verdict of a check that found no counterexample among ``checked``
-    cases: with no case examined it proves nothing, so it fails."""
-    return (True, detail) if checked else (False, "no cases examined")
-
-
 def suite_paper_tables() -> list[CheckResult]:
     """Reproduce the four printed matrices bit for bit, plus the rank claims."""
     checks = [
@@ -144,11 +138,12 @@ def suite_canonical(max_n: int = 32) -> list[CheckResult]:
     return results
 
 
-def _first_counterexample(name: str, cases, counterexample, summary: str) -> list[CheckResult]:
+def _first_counterexample(name: str, cases, counterexample, summary) -> list[CheckResult]:
     """One check of a claim over every case ``cases()`` yields: it fails
     with the detail ``counterexample(case)`` returns for the first case that
-    breaks the claim (a falsy one for a case that holds), and passes with
-    ``summary`` filled in with the count of cases otherwise."""
+    breaks the claim (a falsy one for a case that holds), fails when no case
+    was examined (a vacuous pass proves nothing), and passes with the detail
+    ``summary(count of cases)`` otherwise."""
 
     def run():
         checked = 0
@@ -157,7 +152,7 @@ def _first_counterexample(name: str, cases, counterexample, summary: str) -> lis
             detail = counterexample(case)
             if detail:
                 return False, detail
-        return _passed_if_any(checked, summary.format(checked))
+        return (True, summary(checked)) if checked else (False, "no cases examined")
 
     return [_check(name, run)]
 
@@ -168,7 +163,7 @@ def suite_parity(n: int = 3, pool: int = 7) -> list[CheckResult]:
         f"parity/n={n}/pool={pool}",
         lambda: (s for s in enumerate_selections(n, pool, parity_filter=False) if parity_census(s) != (n, n)),
         lambda sel: is_li_mod_dmin(sel) and f"unbalanced selection {sel.key()} has full rank",
-        "{} unbalanced selections all rank deficient",
+        "{} unbalanced selections all rank deficient".format,
     )
 
 
@@ -186,33 +181,33 @@ def suite_n2_exhaustive(pool: int = 50) -> list[CheckResult]:
         f"n2-exhaustive/p<={pool}",
         balanced,
         lambda sel: not is_li_mod_dmin(sel) and f"rank-deficient balanced selection {sel.key()}",
-        "{} balanced n=2 selections all full rank",
+        "{} balanced n=2 selections all full rank".format,
     )
 
 
 def suite_oracle(max_index: int = 8, max_n: int = 4) -> list[CheckResult]:
     """Keystone: closed-form bracket equals the symbolic endpoint-limit bracket."""
+    nonzero = 0
 
-    def run():
-        funcs = [
-            ClassicalFunction(kind, i)
-            for kind in ("P", "Q")
-            for i in range(max_index + 1)
-        ]
-        checked = nonzero = 0
-        for n in range(1, max_n + 1):
-            for f in funcs:
-                for g in funcs:
-                    closed = bracket(f, g, n)
-                    symbolic = bracket_via_oracle(f, g, n)
-                    checked += 1
-                    if closed != symbolic:
-                        return False, f"[{f},{g}]_{n}: closed {closed} != oracle {symbolic}"
-                    if closed != 0:
-                        nonzero += 1
-        return _passed_if_any(checked, f"{checked} pairs agree exactly ({nonzero} nonzero)")
+    def pairs():
+        funcs = [ClassicalFunction(kind, i) for kind in ("P", "Q") for i in range(max_index + 1)]
+        return product(range(1, max_n + 1), funcs, funcs)
 
-    return [_check(f"oracle/idx<={max_index}/n<={max_n}", run)]
+    def mismatch(pair):
+        nonlocal nonzero
+        n, f, g = pair
+        closed = bracket(f, g, n)
+        symbolic = bracket_via_oracle(f, g, n)
+        if closed != symbolic:
+            return f"[{f},{g}]_{n}: closed {closed} != oracle {symbolic}"
+        nonzero += closed != 0
+
+    return _first_counterexample(
+        f"oracle/idx<={max_index}/n<={max_n}",
+        pairs,
+        mismatch,
+        lambda checked: f"{checked} pairs agree exactly ({nonzero} nonzero)",
+    )
 
 
 SUITES = {

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkn_legendre import oracle
 from gkn_legendre.brackets import bracket
 from gkn_legendre.classical import ClassicalFunction, Poly
 from gkn_legendre.exactnum import legendre_stirling
@@ -278,6 +279,15 @@ class TestDerivativeCounts:
         assert count(sesquilinear_at, f, g, n) == n * (n + 1)
         assert count(apply_ell_n_lagrangian, g, n) == n + n * (n + 1) // 2
         assert count(fn_condition_check, g, n) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expansion_is_one_sum(self, n, monkeypatch):
+        """The Lagrangian expansion sums its n terms in one ``_sum``."""
+        sizes = []
+        total = oracle._sum
+        monkeypatch.setattr(oracle, "_sum", lambda terms: sizes.append(len(terms)) or total(terms))
+        apply_ell_n_lagrangian(classical_to_lograt(Q(3)), n)
+        assert sizes == [n]
 
 
 class TestIntegerNumerators:

@@ -13,6 +13,7 @@ import gkn_legendre.cli as cli_module
 import gkn_legendre.matrices as matrices_module
 import gkn_legendre.sweep as sweep_module
 import gkn_legendre.verify as verify_module
+from gkn_legendre import __version__
 from gkn_legendre.brackets import bracket
 from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.cli import main
@@ -775,6 +776,15 @@ def run_fresh(code: str, cwd) -> None:
     proc = subprocess.run([sys.executable, "-W", "error", "-c", textwrap.dedent(code)],
                           cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    """``python -m gkn_legendre.cli`` runs ``main`` in a fresh interpreter
+    and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gkn_legendre.cli", "--version"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{__version__}\n", "")
 
 
 class TestStartUp:
