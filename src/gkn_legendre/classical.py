@@ -24,6 +24,19 @@ __all__ = [
 ]
 
 
+def add_product(out: list, p, q, scale=1) -> None:
+    """Add scale * (p times q), two coefficient sequences in ascending degree,
+    into the list ``out``: the package's one polynomial product loop."""
+    if len(p) > len(q):
+        p, q = q, p
+    n = len(q)
+    out.extend([0] * (len(p) + n - 1 - len(out)))
+    for s, c in enumerate(p):
+        if c:
+            c *= scale
+            out[s : s + n] = [o + c * d for o, d in zip(out[s : s + n], q)]
+
+
 class Poly:
     """Univariate polynomial with exact rational coefficients, ascending degree.
 
@@ -55,12 +68,8 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(self.coeffs)
+        add_product(out, other.coeffs, (1,))
         return Poly(out)
 
     def __neg__(self) -> "Poly":
@@ -71,14 +80,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            out = []
+            add_product(out, self.coeffs, other.coeffs)
             return Poly(out)
         return Poly([c * other for c in self.coeffs])
 

@@ -297,8 +297,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; keep --version/-h at 0
         return int(exc.code or 0)
-    # exact values are printed in full; the arguments were parsed under the limit
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact values are printed in full; the arguments were parsed under the
+    # caller's digit limit, which is back in force once the verb returns
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

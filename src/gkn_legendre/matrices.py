@@ -71,7 +71,7 @@ class IndexSelection:
                 if type(i) is not int or i < 0:
                     require_int("IndexSelection", name, i, 0)
             if any(map(ge, idx, idx[1:])):
-                raise ValueError(f"{name}: indices must be strictly increasing")
+                raise ValueError(f"IndexSelection: {name} must be strictly increasing")
 
     @property
     def labels(self) -> tuple[ClassicalFunction, ...]:

@@ -43,12 +43,13 @@ f, ..., f^(n) and, for each Lagrangian coefficient a_k = LS(n,k) (1-x**2)**k,
 
 A value is put into canonical form only where a caller reads it.  The
 boundary form multiplies each chain pair straight into plain ``int``
-coefficient lists (``_multiply_into``, the one product loop, which
-``LogRat * LogRat`` uses too), grouped by the product's denominator; each
-group is lifted once to the common denominator and the sum becomes one
-``LogRat`` (``_sum``, which ``+``, ``-`` and the Lagrangian expansion use
-too).  ``derivative`` builds its numerators in one pass of ``int``
-coefficients, by the formula stated at the method.
+coefficient lists (``_multiply_into``), grouped by the product's
+denominator; each group is lifted to the common denominator by one
+product with a cached (1 -+ x) factor (``_poles``), and the sum becomes
+one ``LogRat`` (``_sum``, which ``+``, ``-`` and the Lagrangian expansion
+use too).  Every product runs through ``classical.add_product``, the one
+product loop, and ``derivative`` builds its numerators in one pass of
+``int`` coefficients, by the formula stated at the method.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
 
-from .classical import ClassicalFunction, Poly, legendre_p, legendre_q
+from .classical import ClassicalFunction, Poly, add_product, legendre_p, legendre_q
 from .exactnum import clear_denominators, legendre_stirling, require_int
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "classical_to_lograt",
 ]
 
-_ONE_MINUS_X, _ONE_PLUS_X, _ONE_MINUS_X2 = Poly([1, -1]), Poly([1, 1]), Poly([1, 0, -1])
 # suffixes naming the powers L**0, L**1, L**2
 _POWER_TEXT = ("", " * ln((1+x)/(1-x))/2", " * (ln((1+x)/(1-x))/2)^2")
 _POWER_NAME = ("", " * L", " * L^2")
@@ -193,10 +192,8 @@ class LogRat:
             c = [0, *p.coeffs, 0, 0]
             triples = enumerate(zip(c, c[1:], c[2:]))  # (c_{i-1}, c_i, c_{i+1})
             new = [(i + 1) * hi + (a - b) * mid + (a + b + 1 - i) * lo for i, (lo, mid, hi) in triples]
-            more = self.nums[m + 1].coeffs if m < 2 else ()
-            new.extend([0] * (len(more) - len(new)))
-            for i, e in enumerate(more):
-                new[i] += (m + 1) * e
+            if m < 2:
+                add_product(new, self.nums[m + 1].coeffs, (1,), m + 1)
             nums.append(Poly(new))
         nums, a, b = tuple(nums), a + 1, b + 1
         if a == 1 and not n1(1) and not n2(1):
@@ -265,42 +262,29 @@ _ZERO = LogRat()
 
 def _multiply_into(acc: list[list[int]], x: LogRat, y: LogRat, sign: int) -> None:
     """Add sign * (the numerators of x times those of y) into ``acc``, the
-    coefficient lists of L**0, L**1 and L**2; the module's one product loop."""
+    coefficient lists of L**0, L**1 and L**2."""
     for i, p in enumerate(x.nums):
-        if not p:
-            continue
         for j, q in enumerate(y.nums):
-            if not q:
-                continue
-            if i + j > 2:
-                raise ValueError("product would exceed degree 2 in L(x)")
-            out, qs = acc[i + j], q.coeffs
-            out.extend([0] * (len(p.coeffs) + len(qs) - 1 - len(out)))
-            for s, c in enumerate(p.coeffs):
-                if c:
-                    c *= sign
-                    out[s : s + len(qs)] = [o + c * d for o, d in zip(out[s : s + len(qs)], qs)]
+            if p and q:
+                if i + j > 2:
+                    raise ValueError("product would exceed degree 2 in L(x)")
+                add_product(acc[i + j], p.coeffs, q.coeffs, sign)
 
 
 def _sum(terms: list[tuple]) -> LogRat:
     """The sum of terms (nums, a, b, den), with nums the coefficient lists of
-    L**0, L**1 and L**2 over den (1-x)**a (1+x)**b: each term lifted once to
-    the common denominator, and the sum put into canonical form once."""
+    L**0, L**1 and L**2 over den (1-x)**a (1+x)**b: each term lifted to the
+    common denominator by one product.  A sum's poles can cancel, by no rule,
+    so ``LogRat`` puts the sum into canonical form, once."""
     a = max(term[1] for term in terms)
     b = max(term[2] for term in terms)
     den = lcm(*(term[3] for term in terms))
     total = [[], [], []]
     for nums, ta, tb, tden in terms:
+        lift = _poles(a - ta, b - tb).coeffs
         for out, cs in zip(total, nums):
-            if not cs:
-                continue
-            if den != tden:
-                cs = [c * (den // tden) for c in cs]
-            # times (1-x)**(a - ta) (1+x)**(b - tb), one factor per pass
-            for sign in [-1] * (a - ta) + [1] * (b - tb):
-                cs = [c + sign * d for c, d in zip([*cs, 0], [0, *cs])]
-            out.extend([0] * (len(cs) - len(out)))
-            out[: len(cs)] = map(add, out, cs)
+            if cs:
+                add_product(out, cs, lift, den // tden)
     return LogRat(tuple(map(Poly, total)), a, b, den)
 
 
@@ -323,7 +307,7 @@ def _derivatives(f: LogRat, count: int) -> list[LogRat]:
 
 def apply_ell(f: LogRat) -> LogRat:
     """One application of f -> -((1-x**2) f')'."""
-    return -((f.derivative() * _ONE_MINUS_X2).derivative())
+    return -((f.derivative() * _poles(1, 1)).derivative())
 
 
 def apply_ell_n(f: LogRat, n: int) -> LogRat:
@@ -342,10 +326,16 @@ def lagrangian_coefficients(n: int) -> tuple[tuple[int, Poly], ...]:
 
 
 @cache
+def _poles(i: int, j: int) -> Poly:
+    """(1-x)**i (1+x)**j: the one table of (1 -+ x) factors."""
+    return Poly([1, -1]) ** i * Poly([1, 1]) ** j
+
+
+@cache
 def _lift(n: int, k: int, i: int, j: int) -> Poly:
     """LS(n,k) (1-x)**i (1+x)**j: what is left of a_k once it has cancelled
     k - i and k - j poles."""
-    return legendre_stirling(n, k) * _ONE_MINUS_X**i * _ONE_PLUS_X**j
+    return legendre_stirling(n, k) * _poles(i, j)
 
 
 def _times_coefficient(f: LogRat, n: int, k: int) -> LogRat:

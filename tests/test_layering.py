@@ -129,3 +129,19 @@ def test_only_recurrences_are_grown_tables():
         "classical": {"_p_table", "_v_table"},
         "exactnum": {"_ls_rows"},
     }
+
+
+def slice_assigners(module: str) -> set[str]:
+    """The functions of ``module`` that store to a slice of a list."""
+    return {
+        f"{module}.{func.name}"
+        for func in ast.walk(parse(module)) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in targets(node) if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)
+    }
+
+
+def test_one_polynomial_product_loop():
+    """``classical.add_product`` is the one product loop: no other function
+    of ``classical`` or ``oracle`` adds into a slice of a coefficient list."""
+    assert slice_assigners("classical") | slice_assigners("oracle") == {"classical.add_product"}

@@ -40,6 +40,11 @@ class TestSelection:
         with pytest.raises(ValueError):
             IndexSelection((0,), (1,), 0)
 
+    @pytest.mark.parametrize("p, q, name", [((2, 1), (0,), "p_indices"), ((0,), (1, 1), "q_indices")])
+    def test_order_error_names_its_owner(self, p, q, name):
+        with pytest.raises(ValueError, match=f"^IndexSelection: {name} must be strictly increasing$"):
+            IndexSelection(p, q, 1)
+
     @pytest.mark.parametrize("n", [2.0, Fraction(3, 2), True])
     def test_inexact_power_is_a_type_error(self, n):
         with pytest.raises(TypeError, match=f"IndexSelection: .*got {type(n).__name__}"):

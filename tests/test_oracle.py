@@ -290,6 +290,25 @@ class TestDerivativeCounts:
         assert sizes == [n]
 
 
+class TestSumLiftsOnce:
+    def test_one_product_per_numerator(self, monkeypatch):
+        """``_sum`` lifts each nonzero numerator to the common denominator by
+        one product, whatever the pole difference (here up to 3), and gives
+        the ``LogRat`` a chain of ``+`` gives."""
+        values = [
+            LogRat((Poly([1, 2]), Poly([3]))),
+            LogRat((Poly([5]),), 3, 1, 2),
+            LogRat((Poly([1, 0, 1]), Poly.ZERO, Poly([7, 1])), 1, 3, 3),
+            LogRat((Poly([-4, 1]), Poly([2])), 2, 0, 6),
+        ]
+        chained = values[0] + values[1] + values[2] + values[3]
+        calls = []
+        product = oracle.add_product
+        monkeypatch.setattr(oracle, "add_product", lambda *args: calls.append(args) or product(*args))
+        assert oracle._sum([v._summand(1) for v in values]) == chained
+        assert len(calls) == sum(bool(p) for v in values for p in v.nums) == 7
+
+
 class TestIntegerNumerators:
     """The arithmetic never divides: every ``LogRat`` holds ``int`` numerator
     coefficients over an ``int`` den, and prints N / den as the rational

@@ -2,11 +2,14 @@
 
 import doctest
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import gkn_legendre
+from gkn_legendre.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -53,3 +56,24 @@ def test_readme_library_usage_runs_as_shown():
     results; the count keeps a block that stops being a doctest from passing."""
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert (result.failed, result.attempted) == (0, 11)
+
+
+def test_readme_lists_every_verify_suite_and_its_flags():
+    """README's "Verification suites" table names exactly ``verify.SUITES``,
+    and its flag sentence pairs each flag with the suites whose signatures
+    take that parameter."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE) == list(SUITES)
+    sentence = text.split("`--max-n` goes with", 1)[1].split(".", 1)[0]
+    listed, flag = {"--max-n": set()}, "--max-n"
+    for token in re.findall(r"`([^`]+)`", sentence):
+        if token.startswith("--"):
+            listed[flag := token] = set()
+        else:
+            listed[flag].add(token)
+    wanted = {}
+    for name, suite in SUITES.items():
+        for param in inspect.signature(suite).parameters:
+            wanted.setdefault("--" + param.replace("_", "-"), set()).add(name)
+    assert listed == wanted

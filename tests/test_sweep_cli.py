@@ -377,13 +377,16 @@ class TestCliBracket:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_value_past_the_int_to_str_digit_limit(self, capsys):
         """[Q2, Q20000]_3 is a Fraction of 8690 over 8671 digits: it prints in
-        full although Python's default limit for int-to-str is 4300 digits."""
+        full although Python's default limit for int-to-str is 4300 digits,
+        and the caller's limit is back in force once ``main`` returns."""
         limit = sys.get_int_max_str_digits()
         try:
             for verbose in ([], ["-v"]):
                 sys.set_int_max_str_digits(4300)
                 assert main(["bracket", "Q", "2", "Q", "20000", "--n", "3", *verbose]) == 0
+                assert sys.get_int_max_str_digits() == 4300
                 value = bracket(ClassicalFunction("Q", 2), ClassicalFunction("Q", 20000), 3)
+                sys.set_int_max_str_digits(0)
                 text = rational_str(value)
                 assert [len(part) for part in text.split("/")] == [8690, 8671]
                 first = capsys.readouterr().out.splitlines()[0]
