@@ -22,6 +22,15 @@ built in integers and normalized by one ``Fraction`` construction.
 ``bracket`` reads each lam_i**n and H_i from the caches of ``exactnum`` and
 divides by (j - k)(j + k + 1).
 
+The form is skew, [g, f]_n = -[f, g]_n, and a matrix reads each nonzero
+value many times over.  So ``bracket`` keeps the nonzero brackets of the
+last power it served in one table keyed by (kind, index, kind, index): a
+miss computes [f, g]_n once and stores it with its mirror -[f, g]_n, and a
+call at a new power replaces the table, so it never holds two powers.  The
+zero tests run before the table is read.  The table is read through one
+binding of (power, table), so two threads at different powers can at worst
+lose entries, never mix powers.
+
 A power n follows the argument rule of ``exactnum.require_int``, with n >= 1.
 """
 
@@ -35,21 +44,41 @@ from .exactnum import _harmonic, _lam_power, eigenvalue, require_int
 __all__ = ["bracket", "bracket_decomposed"]
 
 
+# the nonzero brackets of the last power served, each with its mirror
+_memo: tuple[int, dict] = (0, {})
+
+
 def bracket(f: ClassicalFunction, g: ClassicalFunction, n: int) -> int | Fraction:
     """Exact value of [f, g]_n evaluated from -1 to 1."""
+    global _memo
     if type(n) is not int or n < 1:
         require_int("bracket", "n", n, 1)
-    j, k = f.index, g.index
-    if f.kind == g.kind:
-        if f.kind == "P" or j == k or (j + k) % 2:
+    fk, j, gk, k = f.kind, f.index, g.kind, g.index
+    if fk == gk:
+        if fk == "P" or j == k or (j + k) % 2:
             return 0
     elif (j + k) % 2 == 0:
         return 0
+    power, values = _memo
+    if power == n:
+        value = values.get((fk, j, gk, k))
+        if value is not None:
+            return value
+    else:
+        values = {}
+        _memo = n, values
+    value = values[fk, j, gk, k] = _nonzero_bracket(fk, j, gk, k, n)
+    values[gk, k, fk, j] = -value
+    return value
+
+
+def _nonzero_bracket(fk: str, j: int, gk: str, k: int, n: int) -> int | Fraction:
+    """[f, g]_n for f = fk_j and g = gk_k, a pair the zero tests passed."""
     # j != k here, so the divisor is lam_j - lam_k != 0 and the division exact
     h = (_lam_power(j, n) - _lam_power(k, n)) // ((j - k) * (j + k + 1))
-    if f.kind == "P":
+    if fk == "P":
         return 2 * h
-    if g.kind == "P":
+    if gk == "P":
         return -2 * h
     (nj, dj), (nk, dk) = _harmonic(j, 1).as_integer_ratio(), _harmonic(k, 1).as_integer_ratio()
     return Fraction(2 * (nk * dj - nj * dk) * h, dj * dk)

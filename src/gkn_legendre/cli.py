@@ -224,74 +224,94 @@ def cmd_laguerre_coeff(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+VERBS = ("bracket", "matrix", "verify", "sweep", "qfun", "stirling", "laguerre-coeff")
+
+
+def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
+    """The parser with the arguments of ``verbs``.  Its usage line lists
+    every verb, whichever are built, so a parser built for one verb parses
+    that verb and words its help and errors as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="gkn-legendre",
         description="Exact GKN boundary-condition engine for powers of the Legendre operator",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar would also rename the verb argument in the full parser's
+    # errors ("argument command: invalid choice"), so only a parser that
+    # leaves a verb out lists the verbs through it
+    metavar = "{" + ",".join(VERBS) + "}" if set(VERBS) - set(verbs) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("bracket", help="evaluate a boundary bracket [f,g]_n")
-    p.add_argument("kind1", choices=["P", "Q", "p", "q"])
-    p.add_argument("idx1", type=int)
-    p.add_argument("kind2", choices=["P", "Q", "p", "q"])
-    p.add_argument("idx2", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verbose", "-v", action="store_true")
-    p.add_argument("--check-oracle", type=_parse_bool, default=False,
-                   help="cross-check against the symbolic endpoint-limit oracle")
-    p.set_defaults(func=cmd_bracket)
+    if "bracket" in verbs:
+        p = sub.add_parser("bracket", help="evaluate a boundary bracket [f,g]_n")
+        p.add_argument("kind1", choices=["P", "Q", "p", "q"])
+        p.add_argument("idx1", type=int)
+        p.add_argument("kind2", choices=["P", "Q", "p", "q"])
+        p.add_argument("idx2", type=int)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--verbose", "-v", action="store_true")
+        p.add_argument("--check-oracle", type=_parse_bool, default=False,
+                       help="cross-check against the symbolic endpoint-limit oracle")
+        p.set_defaults(func=cmd_bracket)
 
-    p = sub.add_parser("matrix", help="print a boundary-form matrix")
-    p.add_argument("--canonical", action="store_true")
-    p.add_argument("--p", type=_parse_indices)
-    p.add_argument("--q", type=_parse_indices)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", choices=["M", "B", "C"], default="M")
-    p.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
-    p.set_defaults(func=cmd_matrix)
+    if "matrix" in verbs:
+        p = sub.add_parser("matrix", help="print a boundary-form matrix")
+        p.add_argument("--canonical", action="store_true")
+        p.add_argument("--p", type=_parse_indices)
+        p.add_argument("--q", type=_parse_indices)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--block", choices=["M", "B", "C"], default="M")
+        p.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
+        p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    for flag in _FLAG_MIN:
-        p.add_argument("--" + flag.replace("_", "-"), type=int, default=None)
-    p.add_argument("--failure-dump", default="gkn_verify_failures.json")
-    p.set_defaults(func=cmd_verify)
+    if "verify" in verbs:
+        p = sub.add_parser("verify", help="run a verification suite")
+        p.add_argument("--suite", choices=sorted(SUITES), required=True)
+        for flag in _FLAG_MIN:
+            p.add_argument("--" + flag.replace("_", "-"), type=int, default=None)
+        p.add_argument("--failure-dump", default="gkn_verify_failures.json")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="sweep parity-balanced selections into the ledger")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pool", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-parity-filter", action="store_true")
-    p.add_argument("--ledger", default=None, help=f"ledger path (or env {LEDGER_ENV_VAR})")
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    p.set_defaults(func=cmd_sweep)
+    if "sweep" in verbs:
+        p = sub.add_parser("sweep", help="sweep parity-balanced selections into the ledger")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--pool", type=int, required=True)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--no-parity-filter", action="store_true")
+        p.add_argument("--ledger", default=None, help=f"ledger path (or env {LEDGER_ENV_VAR})")
+        p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+        p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("qfun", help="print the exact representation of Q_k")
-    p.add_argument("k", type=int)
-    p.add_argument("--format", choices=["pretty", "json"], default="pretty")
-    p.set_defaults(func=cmd_qfun)
+    if "qfun" in verbs:
+        p = sub.add_parser("qfun", help="print the exact representation of Q_k")
+        p.add_argument("k", type=int)
+        p.add_argument("--format", choices=["pretty", "json"], default="pretty")
+        p.set_defaults(func=cmd_qfun)
 
-    p = sub.add_parser("stirling", help="print the Legendre-Stirling triangle")
-    p.add_argument("n", type=int)
-    p.add_argument("--format", choices=["pretty", "json"], default="pretty")
-    p.set_defaults(func=cmd_stirling)
+    if "stirling" in verbs:
+        p = sub.add_parser("stirling", help="print the Legendre-Stirling triangle")
+        p.add_argument("n", type=int)
+        p.add_argument("--format", choices=["pretty", "json"], default="pretty")
+        p.set_defaults(func=cmd_stirling)
 
-    p = sub.add_parser("laguerre-coeff", help="Laguerre left-definite coefficient b_j(n,k)")
-    # read a dash followed by a digit (-3/4 too, not only -3 or -0.75) as a
-    # negative number, as argparse does from Python 3.13 on
-    p._negative_number_matcher = re.compile(r"-\.?\d")
-    p.add_argument("j", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=_parse_rational)
-    p.set_defaults(func=cmd_laguerre_coeff)
+    if "laguerre-coeff" in verbs:
+        p = sub.add_parser("laguerre-coeff", help="Laguerre left-definite coefficient b_j(n,k)")
+        # read a dash followed by a digit (-3/4 too, not only -3 or -0.75) as a
+        # negative number, as argparse does from Python 3.13 on
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p.add_argument("j", type=int)
+        p.add_argument("n", type=int)
+        p.add_argument("k", type=_parse_rational)
+        p.set_defaults(func=cmd_laguerre_coeff)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the arguments of the verb being run only; with no verb first (none,
+    # --help, --version, a misspelt verb), those of every verb
+    parser = build_parser(argv[:1] if argv and argv[0] in VERBS else VERBS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

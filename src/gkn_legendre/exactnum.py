@@ -16,11 +16,15 @@ The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
 and at least its bound.  ``require_int`` states it for every module, with a
 ``TypeError`` or a ``ValueError`` that names the function and the argument.
 
-The memo rule: a direct formula is cached per key, a recurrence is a table.
-lam_k**n, H_k and H_k^(2) are ``functools.cache``s read only after the
+The memo rule has three forms: a direct formula is cached per key, a
+recurrence is a table, and the brackets are those of the last power, filled
+skew.  lam_k**n, H_k and H_k^(2) are ``functools.cache``s read only after the
 argument check (a key takes ``True`` for ``1``), so a far index stores one
 entry.  A recurrence, each entry of which needs the one before, is a list
-grown to the index asked for: ``_ls_rows`` here, P_k and V_k in ``classical``.
+grown to the index asked for: ``_ls_rows`` here, P_k and V_k in
+``classical``.  A matrix reads each nonzero bracket [f, g]_n many times at
+one power, so ``brackets`` keeps one table, of the last power it served, and
+stores each value with its mirror [g, f]_n = -[f, g]_n.
 """
 
 from __future__ import annotations

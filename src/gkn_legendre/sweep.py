@@ -27,6 +27,8 @@ LEDGER_ENV_VAR = "GKN_LEDGER"
 
 # one encoder for every ledger line; a record holds no cycle to look for
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+# and one decoder for every line read back
+_decode = json.JSONDecoder().decode
 
 
 def __getattr__(name):
@@ -94,10 +96,11 @@ def _scan_ledger(path: str):
     """Yield (end, record) for each record of a JSON-lines ledger, in file
     order, where end is the byte offset just past the record's line.
 
-    A record is a JSON object with a string "key".  A final line without a
-    newline is the last append, possibly cut short: if it is a record it is
-    complete, otherwise it is reported on stderr and skipped.  Any other line
-    that is not a record raises ValueError naming the path and line number.
+    A record is a JSON object with a string "key", on a line of UTF-8 (the
+    ledger's encoding), led by a BOM or not.  A final line without a newline
+    is the last append, possibly cut short: if it is a record it is complete,
+    otherwise it is reported on stderr and skipped.  Any other line that is
+    not a record raises ValueError naming the path and line number.
     """
     if not os.path.exists(path):
         return
@@ -108,7 +111,7 @@ def _scan_ledger(path: str):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = _decode(line.decode("utf-8-sig", "surrogatepass"))
             except ValueError:
                 record = None
             if not isinstance(record, dict) or not isinstance(record.get("key"), str):

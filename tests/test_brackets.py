@@ -1,9 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
 
-from gkn_legendre import exactnum
+from gkn_legendre import brackets, exactnum
 from gkn_legendre.brackets import bracket, bracket_decomposed
 from gkn_legendre.classical import ClassicalFunction
 from gkn_legendre.exactnum import eigenvalue, harmonic, harmonic2
@@ -16,6 +18,12 @@ def P(i):
 
 def Q(i):
     return ClassicalFunction("Q", i)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The bracket table as a fresh process starts with it: no power served."""
+    monkeypatch.setattr(brackets, "_memo", (0, {}))
 
 
 class TestGoldenValues:
@@ -133,21 +141,22 @@ class TestQQ:
             assert type(value) is Fraction
             assert value == -2 * (self.H[j] - self.H[k]) * Fraction(a**n - b**n, a - b)
 
-    def test_one_fraction_per_entry(self, monkeypatch):
-        # a Q-Q entry is built in integers and normalized once; Fraction
-        # arithmetic, which goes through __new__ under Python 3.11, would
-        # construct three per entry (72 here)
-        harmonic(40)
-        new, made = Fraction.__new__, []
+    def test_one_computation_per_unordered_pair(self, monkeypatch, fresh_table):
+        # a nonzero entry is computed once, in integers with one Fraction for
+        # a Q-Q pair, and stored with its mirror, so a matrix computes each
+        # unordered nonzero pair once and a second build computes nothing
+        computed, compute = [], brackets._nonzero_bracket
 
-        def counting_new(cls, *args, **kwargs):
-            made.append(cls)
-            return new(cls, *args, **kwargs)
+        def counting(*pair):
+            computed.append(pair)
+            return compute(*pair)
 
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(brackets, "_nonzero_bracket", counting)
         m = build_matrix(canonical_selection(8))
-        monkeypatch.undo()
-        assert len(made) == sum(type(x) is Fraction for row in m.entries for x in row) == 24
+        pairs = {frozenset((f, g)) for f, row in zip(m.labels, m.entries) for g, x in zip(m.labels, row) if x}
+        assert len(pairs) == len(set(computed)) == len(computed) == 44
+        assert sum(fk == gk == "Q" for fk, _, gk, _, _ in computed) == 12
+        assert build_matrix(canonical_selection(8)) == m and len(computed) == 44
 
 
 class TestPowerTable:
@@ -166,7 +175,7 @@ class TestPowerTable:
             return 2 * h if f.kind == "P" else -2 * h
         return -2 * (harmonic(j) - harmonic(k)) * h
 
-    def test_interleaved_powers_and_growing_indices(self):
+    def test_interleaved_powers_and_growing_indices(self, fresh_table):
         exactnum._lam_power.cache_clear()
         # powers interleaved, and at n = 5, 2 and 24 a large index after small ones
         plan = ((5, 3), (2, 6), (5, 8), (24, 4), (1, 9), (5, 60), (2, 2), (24, 61), (2, 45))
@@ -181,7 +190,7 @@ class TestPowerTable:
             assert eigenvalue(i, n) == (i * (i + 1)) ** n
         assert exactnum._lam_power.cache_info().currsize == len(keys)
 
-    def test_far_index_stores_only_its_own_entries(self):
+    def test_far_index_stores_only_its_own_entries(self, fresh_table):
         """A far index is computed directly and stores one entry per cache,
         nothing for the indices below it."""
         exactnum._lam_power.cache_clear()
@@ -219,3 +228,83 @@ class TestPowerTable:
             harmonic(True)
         with pytest.raises(TypeError, match="harmonic2: k must be an int, got bool"):
             harmonic2(True)
+
+
+class TestBracketTable:
+    """``bracket`` stores each nonzero value of the last power with its
+    mirror; in any order of powers, and from threads at different powers,
+    its values and types are those of the direct formula."""
+
+    FUNCS = [ClassicalFunction(kind, i) for kind in "PQ" for i in range(12)]
+
+    @staticmethod
+    def expected(n):
+        return {(f, g): TestPowerTable.direct(f, g, n) for f, g in product(TestBracketTable.FUNCS, repeat=2)}
+
+    @staticmethod
+    def mismatches(n, expected, rounds=1):
+        return [
+            (f, g, n) for _ in range(rounds) for (f, g), want in expected.items()
+            for value in (bracket(f, g, n),) if value != want or type(value) is not type(want)
+        ]
+
+    @pytest.mark.parametrize("first, second", [(3, 7), (7, 3)])
+    def test_interleaved_powers(self, first, second, fresh_table):
+        expected = {n: self.expected(n) for n in (first, second)}
+        # whole tables in turn, then pair by pair with the power switched each call
+        for n in (first, second) * 2:
+            assert self.mismatches(n, expected[n]) == []
+        for pair in expected[first]:
+            for n in (first, second):
+                value, want = bracket(*pair, n), expected[n][pair]
+                assert value == want and type(value) is type(want), (pair, n)
+
+    def test_table_holds_only_the_last_power(self, fresh_table):
+        for n in (4, 2):
+            for f, g in product(self.FUNCS, repeat=2):
+                bracket(f, g, n)
+        power, values = brackets._memo
+        assert power == 2
+        assert values == {
+            (f.kind, f.index, g.kind, g.index): value
+            for (f, g), value in self.expected(2).items() if value
+        }
+
+    def test_a_switch_mid_miss_loses_the_entry_not_the_power(self, monkeypatch, fresh_table):
+        """A call at another power in the middle of a miss, as another thread
+        may make, replaces the table; the value being computed goes to the
+        table of its own power, never into the new one."""
+        compute = brackets._nonzero_bracket
+
+        def interrupted(*pair):
+            monkeypatch.setattr(brackets, "_nonzero_bracket", compute)
+            assert bracket(P(0), Q(1), 5) == 32
+            return compute(*pair)
+
+        monkeypatch.setattr(brackets, "_nonzero_bracket", interrupted)
+        assert bracket(Q(1), Q(3), 3) == Fraction(860, 3)
+        power, values = brackets._memo
+        assert power == 5 and values == {("P", 0, "Q", 1): 32, ("Q", 1, "P", 0): -32}
+        assert bracket(Q(1), Q(3), 5) == TestPowerTable.direct(Q(1), Q(3), 5)
+
+    def test_threads_at_different_powers(self, fresh_table):
+        powers = (1, 2, 5, 9)
+        expected = {n: self.expected(n) for n in powers}
+        start, found = threading.Barrier(len(powers)), {}
+
+        def work(n):
+            start.wait()
+            found[n] = self.mismatches(n, expected[n], rounds=8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in powers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert found == dict.fromkeys(powers, [])

@@ -7,7 +7,7 @@ independent of the closed form: it imports none of ``brackets``,
 ``matrices``, ``sweep``, ``verify`` or the CLI.  The argument rule and the
 number rule are each raised in ``exactnum`` alone, and the memo rule is read
 the same way: the only module-level containers a function grows are the
-recurrence tables.
+recurrence tables and the brackets of the last power.
 """
 
 import ast
@@ -92,40 +92,55 @@ def targets(node) -> list:
     return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
+def makes_container(value) -> bool:
+    """A list, dict or set display or call, or a tuple that holds one."""
+    if isinstance(value, ast.Tuple):
+        return any(map(makes_container, value.elts))
+    return isinstance(value, CONTAINERS) or getattr(getattr(value, "func", None), "id", None) in {"list", "dict", "set"}
+
+
 def grown_globals(module: str) -> set[str]:
-    """The module-level containers (a list, dict or set) that a function of
-    ``module`` grows: by a growing method, by a store to a subscript, or as
-    the argument of one of the module's own functions (as in
-    ``_extend(_p_table, k)``)."""
+    """The module-level containers (a list, dict or set, alone or in a
+    tuple) that a function of ``module`` grows: by a growing method, by a
+    store to a subscript, or as the argument of one of the module's own
+    functions (as in ``_extend(_p_table, k)``), directly or through a local
+    name bound from the global (as in ``power, values = _memo``)."""
     tree = parse(module)
     bound, helpers, grown = set(), set(), set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             helpers.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and (
-            isinstance(node.value, CONTAINERS)
-            or getattr(getattr(node.value, "func", None), "id", None) in {"list", "dict", "set"}
-        ):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and makes_container(node.value):
             bound |= {target.id for target in targets(node) if isinstance(target, ast.Name)}
     for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        aliases = {
+            name.id: node.value.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in bound
+            for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)
+        }
+        names = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr in GROWERS and isinstance(node.func.value, ast.Name):
-                    grown.add(node.func.value.id)
+                    names.add(node.func.value.id)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers:
-                grown |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+                names |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                grown |= {target.value.id for target in targets(node)
+                names |= {target.value.id for target in targets(node)
                           if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)}
+        grown |= {aliases.get(name, name) for name in names}
     return grown & bound
 
 
 def test_only_recurrences_are_grown_tables():
     """The memo rule: a direct formula is a per-key ``functools.cache``, so
     the only module-level containers a function grows are the recurrence
-    tables, each entry of which needs the one before."""
+    tables, each entry of which needs the one before, and the brackets of
+    the last power, filled skew."""
     grown = {module: grown_globals(module) for module in (path.stem for path in PACKAGE.glob("*.py"))}
     assert {module: names for module, names in grown.items() if names} == {
+        "brackets": {"_memo"},
         "classical": {"_p_table", "_v_table"},
         "exactnum": {"_ls_rows"},
     }

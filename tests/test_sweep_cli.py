@@ -16,7 +16,7 @@ import gkn_legendre.verify as verify_module
 from gkn_legendre import __version__
 from gkn_legendre.brackets import bracket
 from gkn_legendre.classical import ClassicalFunction
-from gkn_legendre.cli import main
+from gkn_legendre.cli import VERBS, build_parser, main
 from gkn_legendre.exactnum import rational_str
 from gkn_legendre.matrices import IndexSelection, parity_census
 from gkn_legendre.sweep import (
@@ -350,6 +350,34 @@ class TestTornLedger:
         assert self.sweep(ledger, 4) == 2
         assert f"{ledger}: line 3 is not a ledger record" in capsys.readouterr().err
         assert ledger.read_bytes() == old
+
+    @pytest.mark.parametrize("final", [False, True], ids=["middle", "final"])
+    def test_record_led_by_a_utf8_bom_is_read(self, final, tmp_path):
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        at = len(lines) - 1 if final else 1
+        lines[at] = b"\xef\xbb\xbf" + (lines[at].rstrip(b"\n") if final else lines[at])
+        ledger.write_bytes(b"".join(lines))
+        assert read_ledger(str(ledger)) == [json.loads(line.lstrip(b"\xef\xbb\xbf")) for line in lines]
+
+    @pytest.mark.parametrize("line", [
+        b'{"key": "a"}\x00', b'{"key": "a\x00"}', b'\x00{"key": "a"}', b"\x00\x00\x00",
+        b'{"key": "\xff"}', b'{"key": "caf\xe9"}', b"\xef\xbb\xbf\xfe",
+    ], ids=["nul-after", "nul-inside", "nul-first", "nul-only", "byte-ff", "latin-1", "bom-then-ff"])
+    def test_nul_or_non_utf8_line_is_not_a_record(self, line, tmp_path, capsys):
+        """Complete, such a line is an error; final and unterminated, it is
+        reported as torn and dropped."""
+        ledger = tmp_path / "s.jsonl"
+        assert self.sweep(ledger, 3) == 0
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        ledger.write_bytes(lines[0] + line + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(ValueError, match=f"{ledger}: line 2 is not a ledger record"):
+            read_ledger(str(ledger))
+        ledger.write_bytes(b"".join(lines) + line)
+        capsys.readouterr()
+        assert read_ledger(str(ledger)) == [json.loads(line) for line in lines]
+        assert capsys.readouterr().err == f"warning: {ledger}: dropped a torn final line ({len(line)} bytes)\n"
 
 
 class TestCliBracket:
@@ -770,6 +798,31 @@ class TestCliSmallVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestParser:
+    """``main`` builds the arguments of the verb it runs, or of every verb
+    when its arguments name none; what it prints is what the full parser
+    prints."""
+
+    @pytest.mark.parametrize("argv", [[verb, "--help"] for verb in VERBS] + [
+        ["--help"], ["-h", "sweep"], ["--version"], [], ["swe"], ["--", "sweep"],
+        ["sweep", "--n", "2"], ["sweep", "--n", "2", "--pool", "3", "--bogus"], ["sweep", "--version"],
+        ["sweep", "--n", "2", "--pool", "3", "--format", "xml"], ["bracket", "X", "0", "Q", "1", "--n", "3"],
+        ["verify", "--suite", "nope"], ["stirling", "3", "extra"], ["laguerre-coeff", "1", "2"],
+    ], ids=" ".join)
+    def test_output_matches_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit:
+            build_parser().parse_args(argv)
+        full = (exit.value.code or 0, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == full
+
+    def test_builds_only_the_verb_it_runs(self, monkeypatch, capsys):
+        built, build = [], cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser", lambda verbs: built.append(verbs) or build(verbs))
+        for argv in (["stirling", "2"], ["--version"], ["stirl", "2"], ["-h", "stirling"]):
+            main(argv)
+        assert built == [["stirling"], VERBS, VERBS, VERBS]
 
 
 def run_fresh(code: str, cwd) -> None:
