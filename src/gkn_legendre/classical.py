@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import PiPair, harmonic, harmonic2, rational_str, require_int
+from .exactnum import PiPair, harmonic, harmonic2, rational_str, require_exact, require_int
 
 __all__ = [
     "Poly",
@@ -41,15 +41,17 @@ class Poly:
     """Univariate polynomial with exact rational coefficients, ascending degree.
 
     Coefficients follow the package's number rule: each is an ``int`` until a
-    division makes it a ``Fraction``, and none is ever coerced.  The zero
-    polynomial has an empty coefficient tuple; otherwise the trailing
-    coefficient is nonzero.
+    division makes it a ``Fraction``, and none is ever coerced; any other
+    coefficient, from the constructor or a scalar product, is a ``TypeError``
+    there.  The zero polynomial has an empty coefficient tuple; otherwise the
+    trailing coefficient is nonzero.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
+        require_exact("Poly", "coefficients", cs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

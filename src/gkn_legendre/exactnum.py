@@ -16,15 +16,19 @@ The argument rule: an index, a power or a count is an ``int``, not a ``bool``,
 and at least its bound.  ``require_int`` states it for every module, with a
 ``TypeError`` or a ``ValueError`` that names the function and the argument.
 
-The memo rule has three forms: a direct formula is cached per key, a
-recurrence is a table, and the brackets are those of the last power, filled
-skew.  lam_k**n, H_k and H_k^(2) are ``functools.cache``s read only after the
+The memo rule has four forms: a direct formula is cached per key, a
+recurrence is a table, the brackets are those of the last power, filled
+skew, and an immutable oracle value keeps what is derived from it.
+lam_k**n, H_k and H_k^(2) are ``functools.cache``s read only after the
 argument check (a key takes ``True`` for ``1``), so a far index stores one
 entry.  A recurrence, each entry of which needs the one before, is a list
 grown to the index asked for: ``_ls_rows`` here, P_k and V_k in
 ``classical``.  A matrix reads each nonzero bracket [f, g]_n many times at
 one power, so ``brackets`` keeps one table, of the last power it served, and
-stores each value with its mirror [g, f]_n = -[f, g]_n.
+stores each value with its mirror [g, f]_n = -[f, g]_n.  An ``oracle.LogRat``
+never changes, so it keeps its derivative and its a_k products in its own
+instance dict, with no module table; the cached P_k and Q_k then carry
+their chains from pair to pair.
 """
 
 from __future__ import annotations

@@ -39,7 +39,13 @@ names.
 The boundary form, the Lagrangian expansion of the operator power and the
 endpoint conditions read the same chains, built by ``_lagrangian_chains``:
 f, ..., f^(n) and, for each Lagrangian coefficient a_k = LS(n,k) (1-x**2)**k,
-(a_k f^(k))^(i) for i < k.
+(a_k f^(k))^(i) for i < k.  The chains are kept on the values they start
+from: a ``LogRat`` is immutable, so each one keeps, in its own instance dict,
+its derivative and its a_k products, keyed by (n, k), once computed; no
+module table holds them, and a pickle carries the fields alone.
+``classical_to_lograt`` is cached per function, so every pair that reads
+P_k or Q_k at power n reads the same chain values, and a chain built again
+makes the same n(n+1)/2 ``derivative`` calls, each a lookup.
 
 A value is put into canonical form only where a caller reads it.  The
 boundary form multiplies each chain pair straight into plain ``int``
@@ -54,7 +60,7 @@ product loop, and ``derivative`` builds its numerators in one pass of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -176,6 +182,15 @@ class LogRat:
     __rmul__ = __mul__
 
     def derivative(self) -> "LogRat":
+        """d/dx, computed on the first call and kept on this value: a
+        ``LogRat`` is immutable, so its derivative holds for good."""
+        memo = vars(self)
+        try:
+            return memo["_derivative"]
+        except KeyError:
+            return memo.setdefault("_derivative", self._differentiate())
+
+    def _differentiate(self) -> "LogRat":
         # A polynomial's derivative is N0' over the same den.  Otherwise
         # (N/D)' = (N'(1-x**2) + N (a(1+x) - b(1-x))) / (D (1-x**2)), and
         # (N_{m+1} L**(m+1))' adds (m+1) N_{m+1} L**m / (1-x**2): coefficient i
@@ -201,6 +216,10 @@ class LogRat:
         if b == 1 and not n1(-1) and not n2(-1):
             nums, b = _divided(nums, -1), 0
         return _trusted(nums, a, b, self.den)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: what the oracle keeps on a value is not pickled."""
+        return {field.name: vars(self)[field.name] for field in fields(self)}
 
     def order_at(self, at: str) -> tuple[int, ...]:
         """Order of vanishing at the endpoint of each power of L; negative
@@ -341,11 +360,15 @@ def _lift(n: int, k: int, i: int, j: int) -> Poly:
 def _times_coefficient(f: LogRat, n: int, k: int) -> LogRat:
     """f * a_k: each pole of f lowered by up to k, the numerators times what
     is left of (1-x**2)**k.  A pole that survives had a numerator nonzero at
-    its end, which a_k leaves alone, so the result is canonical as it stands."""
-    a, b = f.pow_one_minus, f.pow_one_plus
-    i, j = min(a, k), min(b, k)
-    lift = _lift(n, k, k - i, k - j)
-    return _trusted(tuple(p * lift if p else p for p in f.nums), a - i, b - j, f.den)
+    its end, which a_k leaves alone, so the result is canonical as it stands.
+    Computed once per (n, k) and kept on f, as its derivative is."""
+    products = vars(f).setdefault("_products", {})
+    if (n, k) not in products:
+        a, b = f.pow_one_minus, f.pow_one_plus
+        i, j = min(a, k), min(b, k)
+        lift = _lift(n, k, k - i, k - j)
+        products.setdefault((n, k), _trusted(tuple(p * lift if p else p for p in f.nums), a - i, b - j, f.den))
+    return products[n, k]
 
 
 def _lagrangian_chains(f: LogRat, n: int) -> tuple[list[LogRat], list[list[LogRat]]]:

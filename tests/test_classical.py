@@ -43,9 +43,18 @@ class TestPoly:
         assert str(Poly()) == str(Poly([0, 0])) == "0"
 
     def test_json_refuses_a_float_coefficient(self):
-        # Poly itself does not check (it is the oracle's hot path); its output does
         with pytest.raises(TypeError, match="float"):
             Poly([0.5]).to_json()
+
+    def test_float_coefficient_is_a_type_error_at_construction(self):
+        with pytest.raises(TypeError, match="^Poly: coefficients must be int or Fraction, got float$"):
+            Poly([1.5])
+
+    def test_float_scalar_product_is_a_type_error(self):
+        for product in (lambda: Poly([1, 2]) * 0.5, lambda: 0.5 * Poly([1, 2])):
+            with pytest.raises(TypeError, match="^Poly: coefficients must be int or Fraction, got float$"):
+                product()
+        assert (Poly([1, 2]) * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
 
 
 class TestLegendreP:

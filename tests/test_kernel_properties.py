@@ -22,13 +22,18 @@ laws; the oracle's derivative, derivative chains, a_k
 product and boundary form are compared with references built from ``Poly``
 operations (a term-by-term canonical fold for the form), and the form is
 pinned to one canonical form per call.  Every value built without the
-constructor's checks equals the public constructor's, and on
+constructor's checks equals the public constructor's; a value keeps its
+chains, equal to a fresh copy's, the same objects on a second build, from
+four threads at once too, and invisible to equality, hash, text and
+pickle; and on
 ``suite_oracle(3, 4)`` no (1 -+ x) division inside the chains fails.  Every
 exact value the engine returns is an ``int`` or a ``Fraction``, never a
 ``float``.
 """
 
+import pickle
 import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -829,21 +834,82 @@ def recording_trusted(mp):
     return made
 
 
+def fresh(e: LogRat) -> LogRat:
+    """A value equal to e that keeps nothing derived from it yet."""
+    return LogRat(e.nums, e.pow_one_minus, e.pow_one_plus, e.den)
+
+
 @settings(max_examples=200, deadline=None)
 @example(LogRat([Poly([1, 2])], 1, 2, 3), 2)  # den > 1, poles at both ends
 @example(classical_to_lograt(ClassicalFunction("Q", 2)), 3)  # chains of pole-free members
+@example(classical_to_lograt(ClassicalFunction("P", 1)), 4)  # chains that reach zero
 @given(lograts(), st.integers(1, 4))
 def test_trusted_values_equal_public_ones(e, n):
     """Every value the arithmetic builds without the constructor's checks is
-    the canonical form LogRat(...) makes of the same raw numerators."""
+    the canonical form LogRat(...) makes of the same raw numerators.  The
+    chains are built on a fresh copy of e, so each derivative and a_k product
+    is computed, one trusted value each, except on the shared zero, which
+    keeps its own (filled here first)."""
+    e, zero = fresh(e), oracle._ZERO
+    _lagrangian_chains(zero, n)
     with pytest.MonkeyPatch.context() as mp:
         made = recording_trusted(mp)
         assert -e + e == LogRat()
-        _lagrangian_chains(e, n)
-    assert len(made) == 1 + n * (n + 3) // 2
+        derivs, chains = _lagrangian_chains(e, n)
+    receivers = derivs[:-1] + derivs[1:] + [x for chain in chains for x in chain[:-1]]
+    assert len(receivers) == n * (n + 3) // 2
+    assert len(made) == 1 + sum(x is not zero for x in receivers)
     for args, value in made:
         assert value == LogRat(*args)
         assert_integer_over_one_denominator(value)
+
+
+def chain_values(chains) -> list[LogRat]:
+    derivs, products = chains
+    return derivs + [x for chain in products for x in chain]
+
+
+@settings(max_examples=150, deadline=None)
+@example(LogRat([Poly([1, 2])], 1, 2, 3), 4)
+@example(classical_to_lograt(ClassicalFunction("Q", 2)), 3)
+@given(lograts(), st.integers(1, 4))
+def test_a_value_keeps_its_chains(e, n):
+    """A LogRat keeps its derivative and its a_k products: its chains equal,
+    value by value, those of a fresh copy that keeps nothing, a second build
+    returns the identical objects, and what it keeps changes none of its
+    equality, hash, text or pickle."""
+    blank, built = fresh(e), chain_values(_lagrangian_chains(e, n))
+    assert built == chain_values(_lagrangian_chains(fresh(e), n))
+    assert all(x is y for x, y in zip(chain_values(_lagrangian_chains(e, n)), built, strict=True))
+    assert e == blank and hash(e) == hash(blank) and str(e) == str(blank)
+    assert pickle.dumps(e) == pickle.dumps(blank)
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_threads_building_one_values_chains_agree():
+    """Four threads that build the chains of one value at once, switching
+    every microsecond, all get values equal to a single-threaded build: a
+    race on what the value keeps costs a repeated computation, not a value."""
+    f, n = fresh(classical_to_lograt(ClassicalFunction("Q", 7))), 5
+    expected = chain_values(_lagrangian_chains(fresh(f), n))
+    start, results = threading.Barrier(4), [None] * 4
+
+    def build(i):
+        start.wait()
+        results[i] = chain_values(_lagrangian_chains(f, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
 
 
 def test_oracle_settles_poles_by_rule(monkeypatch):
@@ -895,8 +961,11 @@ def test_one_canonical_form_per_boundary_form(n, monkeypatch):
     # the boundary form's products are summed as integer coefficient lists
     # and put into canonical form once; a fold over its terms would build a
     # LogRat per product and per partial sum.  Values built by the trusted
-    # constructor skip __post_init__, so both are counted
-    f, g = classical_to_lograt(ClassicalFunction("Q", 3)), classical_to_lograt(ClassicalFunction("P", 2))
+    # constructor skip __post_init__, so both are counted.  The form reads
+    # the chains that fresh f and g keep from the builds before it, so it
+    # builds exactly one value more
+    f = fresh(classical_to_lograt(ClassicalFunction("Q", 3)))
+    g = fresh(classical_to_lograt(ClassicalFunction("P", 2)))
     init, made = LogRat.__post_init__, recording_trusted(monkeypatch)
 
     def counting_init(self):
@@ -909,4 +978,4 @@ def test_one_canonical_form_per_boundary_form(n, monkeypatch):
     chains = len(made)
     sesquilinear_at(f, g, n)
     monkeypatch.undo()
-    assert len(made) - 2 * chains == 1
+    assert chains > 0 and len(made) - chains == 1
